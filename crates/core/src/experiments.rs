@@ -403,8 +403,9 @@ pub enum PlanSpec<'a> {
 /// daemon, the benchmark harness) build jobs through here and therefore
 /// share cache keys — and bytes — with batch runs. Multi-figure specs
 /// are deduplicated by canonical key, so cells shared between figures
-/// appear (and simulate) once; grids keep suite-major order, which the
-/// fused runner bundles into one decode pass per benchmark stream.
+/// appear (and simulate) once; grids keep suite-major order. The runner
+/// reorders cache misses stream by stream before running each cell as
+/// its own job, so plan order never costs a second capture.
 pub fn plan(cfg: &ExperimentConfig, spec: PlanSpec) -> Vec<Job> {
     match spec {
         PlanSpec::Cell {
@@ -872,8 +873,7 @@ pub fn table1(cfg: &ExperimentConfig) -> String {
 
 /// Executes every cell of the consolidated report exactly once — the
 /// deduplicated [`PlanSpec::FullReport`] grid through one runner pass,
-/// where the fused runner bundles all same-stream cells into shared
-/// decode passes. Both report renderings ([`PlanResults::report_text`]
+/// one pool job per cache-missing cell. Both report renderings ([`PlanResults::report_text`]
 /// and [`PlanResults::report_json`]) assemble from the returned results
 /// without re-running anything.
 pub fn full_results(runner: &Runner, cfg: &ExperimentConfig) -> PlanResults {
@@ -883,8 +883,8 @@ pub fn full_results(runner: &Runner, cfg: &ExperimentConfig) -> PlanResults {
 impl PlanResults {
     /// Renders the consolidated text report (the body of `ppsim suite`)
     /// from results collected over [`PlanSpec::FullReport`]. The output
-    /// is deterministic: byte-identical for any worker count, cache
-    /// state, and fused or per-cell execution.
+    /// is deterministic: byte-identical for any worker count and cache
+    /// state.
     pub fn report_text(&self, cfg: &ExperimentConfig) -> String {
         let mut out = String::new();
         out.push_str(&table1(cfg));

@@ -93,7 +93,7 @@ pub struct SlotMeta {
     pub lat: u8,
     /// Issue-queue class (see [`iq`]).
     pub iq: u8,
-    /// Functional-unit class (see [`unit`]).
+    /// Functional-unit class (see [`mod@unit`]).
     pub unit: u8,
     /// Guard (qualifying predicate) register index.
     pub qp: u8,

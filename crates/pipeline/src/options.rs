@@ -5,13 +5,13 @@
 //! [`SimOptions::build_source`], so an inapplicable override (a perceptron
 //! geometry on a PEP-PA job, say) is a loud [`SimOptionsError`] instead of
 //! a silently ignored call. The source passed to `build_source` selects
-//! the execution mode — an inline [`Machine`] or a replaying
+//! the execution mode — an inline [`ppsim_isa::Machine`] or a replaying
 //! [`ppsim_isa::TraceCursor`] — through one constructor, so every caller
 //! (CLI, serve, check, bench) shares a single build path.
 
 use std::fmt;
 
-use ppsim_isa::{InsnSource, Machine, Program};
+use ppsim_isa::InsnSource;
 use ppsim_predictors::{PerceptronConfig, PredicateConfig, SchemeSpec};
 
 use crate::config::{CoreConfig, PredicationModel};
@@ -183,7 +183,7 @@ impl SimOptions {
     }
 
     /// Validates the options and builds the timing model around any
-    /// instruction source: an inline [`Machine`] (execution-driven mode —
+    /// instruction source: an inline [`ppsim_isa::Machine`] (execution-driven mode —
     /// fresh, or restored from a [`ppsim_isa::Checkpoint`] so a sampled
     /// run starts at its window position), or a
     /// [`ppsim_isa::TraceCursor`] replaying a shared capture (whole
@@ -204,20 +204,10 @@ impl SimOptions {
         self.validate()?;
         Ok(Simulator::from_source(source, self))
     }
-
-    /// Validates the options and builds the simulator for `program`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `build_source(Machine::new(program))`; every execution \
-                mode now goes through the one source-parameterized constructor"
-    )]
-    pub fn build(self, program: &Program) -> Result<Simulator, SimOptionsError> {
-        self.build_source(Machine::new(program))
-    }
 }
 
 /// An inconsistent [`SimOptions`] combination, reported by
-/// [`SimOptions::build`].
+/// [`SimOptions::build_source`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimOptionsError {
     /// A perceptron geometry override was supplied for a scheme without a
@@ -269,7 +259,7 @@ impl std::error::Error for SimOptionsError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppsim_isa::Asm;
+    use ppsim_isa::{Asm, Machine, Program};
 
     fn halt_program() -> Program {
         let mut a = Asm::new();
@@ -284,22 +274,6 @@ mod tests {
                 .build_source(Machine::new(&halt_program()));
             assert!(sim.is_ok(), "{scheme:?}");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_build_shim_matches_build_source() {
-        let program = halt_program();
-        let a = SimOptions::new(SchemeSpec::Predicate, PredicationModel::Selective)
-            .build(&program)
-            .unwrap()
-            .run(100);
-        let b = SimOptions::new(SchemeSpec::Predicate, PredicationModel::Selective)
-            .build_source(Machine::new(&program))
-            .unwrap()
-            .run(100);
-        assert_eq!(a.stats.cycles, b.stats.cycles);
-        assert_eq!(a.halted, b.halted);
     }
 
     #[test]

@@ -49,10 +49,12 @@ use crate::job::{Job, JobResult};
 /// `early_resolved_mispredicts`; v4 added the `time.*` telemetry lines
 /// (wall/compile/capture/sim); v5 added the `sample=` axis to the
 /// canonical job encoding, so a sampled window and a full run can never
-/// alias; v6 marks the fused-grid era — per-cell keys are unchanged, but
-/// the timing-telemetry lines a fused pass stores are per-lane shares,
-/// so entries written by pre-fusion binaries are retired wholesale
-/// rather than mixed into fused-era telemetry; v7 added the always-
+/// alias; v6 marked the fused-grid era — per-cell keys were unchanged,
+/// but the timing-telemetry lines a fused pass stored were per-lane
+/// shares, so entries written by pre-fusion binaries were retired
+/// wholesale (the runner has since returned to one job per cell, so new
+/// timing lines are per cell again; the format did not change, and
+/// timing lines never reach a report); v7 added the always-
 /// emitted `trace=` axis (external trace ingestion) to the canonical
 /// job encoding — every canon string changed, so pre-trace entries
 /// would all miss on the canon comparison anyway, and the bump retires

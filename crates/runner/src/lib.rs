@@ -2,12 +2,13 @@
 //!
 //! The runner owns the path from "a grid of experiment cells" to "a vector
 //! of results": it probes the on-disk cache, memoizes compilation per
-//! (benchmark, compile-flags), fans cache misses across a deterministic
-//! work-stealing thread pool, stores fresh results back, and assembles
-//! everything in canonical grid order. Reports built from a grid are
-//! byte-identical for any `--jobs N` and for cold vs. warm caches; only
-//! the telemetry (wall times, hit counts) differs, and that never enters
-//! the deterministic report stream.
+//! (benchmark, compile-flags) and trace capture per stream, fans cache
+//! misses across a deterministic work-stealing thread pool one cell per
+//! job, stores fresh results back, and assembles everything in canonical
+//! grid order. Reports built from a grid are byte-identical for any
+//! `--jobs N` and for cold vs. warm caches; only the telemetry (wall
+//! times, hit counts) differs, and that never enters the deterministic
+//! report stream.
 //!
 //! ```text
 //! Vec<Job> ──cache probe──▶ misses ──pool──▶ simulate ──store──▶
@@ -18,6 +19,7 @@ pub mod cache;
 pub mod hash;
 pub mod inflight;
 pub mod job;
+mod memo;
 pub mod pool;
 
 /// The hand-rolled JSON value (moved to `ppsim-obs`; re-exported so
@@ -31,7 +33,9 @@ use std::time::Instant;
 
 use ppsim_compiler::{compile, spec2000_suite, CompileOptions, Compiled, WorkloadSpec};
 use ppsim_isa::{Checkpoint, Machine};
-use ppsim_pipeline::{LaneSet, RunResult, SampleSpec, SimOptions, TraceBuffer, TraceCursor};
+use ppsim_pipeline::{RunResult, SampleSpec, SimOptions, TraceBuffer, TraceCursor};
+
+use memo::Memo;
 
 pub use cache::{CacheUsage, DiskCache};
 pub use inflight::Inflight;
@@ -56,13 +60,6 @@ pub struct RunnerOptions {
     /// functional stream once per binary, replay it per cell). Disable to
     /// force the legacy inline-machine path (`--no-replay`).
     pub replay: bool,
-    /// Fuse cache-missing replay cells that share one stream (same
-    /// binary, commit budget and sample window) into a single
-    /// lane-parallel pass over the trace (`ppsim_pipeline::LaneSet`).
-    /// Disable to run every cell as its own job (`--no-fuse`). Results
-    /// and cache keys are identical either way; only wall time and
-    /// telemetry differ.
-    pub fuse: bool,
     /// Byte budget for the on-disk cache (`None` = unbounded). When set,
     /// every store evicts least-recently-used entries down to the cap.
     pub cache_max_bytes: Option<u64>,
@@ -75,7 +72,6 @@ impl Default for RunnerOptions {
             cache: true,
             cache_dir: None,
             replay: true,
-            fuse: true,
             cache_max_bytes: None,
         }
     }
@@ -83,9 +79,8 @@ impl Default for RunnerOptions {
 
 impl RunnerOptions {
     /// Parses `--jobs N`, `--no-cache`, `--cache-dir P`,
-    /// `--cache-max-bytes B`, `--no-replay` and `--no-fuse` from a raw
-    /// argument list, returning the validated options and the unconsumed
-    /// arguments.
+    /// `--cache-max-bytes B` and `--no-replay` from a raw argument list,
+    /// returning the validated options and the unconsumed arguments.
     pub fn from_args(args: &[String]) -> Result<(RunnerOptions, Vec<String>), String> {
         let mut opts = RunnerOptions::default();
         let mut rest = Vec::new();
@@ -116,7 +111,6 @@ impl RunnerOptions {
                     opts.cache_max_bytes = Some(b);
                 }
                 "--no-replay" => opts.replay = false,
-                "--no-fuse" => opts.fuse = false,
                 _ => rest.push(a.clone()),
             }
         }
@@ -175,18 +169,14 @@ pub struct Telemetry {
     pub trace_memo_hits: u64,
     /// Wall time spent capturing traces, summed (µs).
     pub capture_micros_total: u64,
-    /// Entries dropped from the in-process memos (compile, trace,
-    /// checkpoint) by the size caps — relevant for long-lived runners
-    /// (`ppsim serve`), always 0 for one-shot grids.
+    /// Entries evicted (least recently used first) from the in-process
+    /// memos (compile, trace, checkpoint) by their size caps — a grid
+    /// over more than 32 streams, or a long-lived runner (`ppsim serve`).
     pub memo_evictions: u64,
-    /// Fused lane-parallel trace passes executed (bundles of ≥ 2 cells
-    /// sharing one stream).
+    /// Fused lane-parallel passes executed. Always 0: every cell runs as
+    /// its own pool job. The field (and its `fused_passes` JSON key)
+    /// stays for readers written against fused grids.
     pub fused_passes: u64,
-    /// Cells executed inside fused passes (the lanes). `fused_lanes /
-    /// fused_passes` is the lanes-per-pass ratio; cells run solo (no
-    /// fusable sibling, `--no-fuse`, or the inline path) appear in
-    /// `jobs_run` but not here.
-    pub fused_lanes: u64,
     /// Per-simulated-job timing phases, in grid order. Capped at
     /// [`Telemetry::MAX_PER_JOB`] entries (oldest dropped) so a
     /// long-running daemon's telemetry stays bounded.
@@ -245,13 +235,10 @@ impl Telemetry {
         }
     }
 
-    /// Average lanes per fused pass (0 when no fused pass ran).
+    /// Average lanes per fused pass. Always 0, like
+    /// [`Telemetry::fused_passes`].
     pub fn lanes_per_pass(&self) -> f64 {
-        if self.fused_passes == 0 {
-            0.0
-        } else {
-            self.fused_lanes as f64 / self.fused_passes as f64
-        }
+        0.0
     }
 
     /// Fraction of replay jobs whose capture was shared from the memo
@@ -279,7 +266,6 @@ impl Telemetry {
             .field("capture_micros_total", self.capture_micros_total)
             .field("memo_evictions", self.memo_evictions)
             .field("fused_passes", self.fused_passes)
-            .field("fused_lanes", self.fused_lanes)
             .field("lanes_per_pass", self.lanes_per_pass())
             .field(
                 "per_job",
@@ -371,17 +357,14 @@ pub struct Runner {
     opts: RunnerOptions,
     cache: Option<DiskCache>,
     suite: Vec<WorkloadSpec>,
-    /// Per-key compile memo. The `Arc<OnceLock>` two-step keeps the map
-    /// lock held only for the lookup, so two workers needing *different*
-    /// benchmarks compile concurrently while two needing the *same* one
-    /// compile once.
-    compiled: Mutex<HashMap<CompileKey, Arc<OnceLock<Arc<Compiled>>>>>,
-    /// Per-(binary, budget) captured-trace memo, same locking discipline
-    /// as `compiled`: capture once, replay from every cell.
-    traces: Mutex<HashMap<TraceKey, Arc<OnceLock<Arc<TraceBuffer>>>>>,
+    /// Per-key compile memo: compile once per binary.
+    compiled: Mutex<Memo<CompileKey, Arc<Compiled>>>,
+    /// Per-(binary, budget) captured-trace memo: capture once, replay
+    /// from every cell.
+    traces: Mutex<Memo<TraceKey, Arc<TraceBuffer>>>,
     /// Per-(binary, fast-forward) machine-checkpoint memo for sampled
     /// inline jobs: fast-forward once, restore per cell.
-    ckpts: Mutex<HashMap<CkptKey, Arc<OnceLock<Arc<Checkpoint>>>>>,
+    ckpts: Mutex<Memo<CkptKey, Arc<Checkpoint>>>,
     /// Externally supplied trace streams, keyed by content hash (see
     /// [`Runner::register_trace`]). Unlike the capture memo these are
     /// provided, not derived, so they are never evicted: the runner
@@ -407,9 +390,9 @@ impl Runner {
             opts,
             cache,
             suite: spec2000_suite(),
-            compiled: Mutex::new(HashMap::new()),
-            traces: Mutex::new(HashMap::new()),
-            ckpts: Mutex::new(HashMap::new()),
+            compiled: Mutex::new(Memo::new(Self::COMPILE_MEMO_CAP)),
+            traces: Mutex::new(Memo::new(Self::TRACE_MEMO_CAP)),
+            ckpts: Mutex::new(Memo::new(Self::CKPT_MEMO_CAP)),
             ext_traces: Mutex::new(HashMap::new()),
             telemetry: Mutex::new(Telemetry::default()),
         }
@@ -475,9 +458,11 @@ impl Runner {
     /// Runs a grid of jobs and returns results in grid order.
     ///
     /// Cache hits are resolved serially up front (file reads — not worth
-    /// threading); misses fan out over the pool. Results are assembled by
-    /// grid index, so the output order — and any report rendered from it —
-    /// is independent of worker count and scheduling.
+    /// threading); each miss is one pool job, and misses are scheduled
+    /// stream by stream so each capture serves its cells back to back.
+    /// Results are assembled by grid index, so the output order — and any
+    /// report rendered from it — is independent of worker count and
+    /// scheduling.
     pub fn run_grid(&self, jobs: &[Job]) -> Vec<JobResult> {
         // 1. Serial cache probe.
         let mut slots: Vec<Option<JobResult>> = match &self.cache {
@@ -485,74 +470,60 @@ impl Runner {
             None => vec![None; jobs.len()],
         };
 
-        // 2. Bundle the misses: replay cells sharing one stream fuse into
-        //    a single lane-parallel pass, everything else is a bundle of
-        //    one. Bundles fan out over the pool.
-        let miss_idx: Vec<usize> = (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
-        let bundles = self.bundle_misses(jobs, &miss_idx);
-        let fresh = pool::run_indexed(bundles.len(), self.opts.effective_jobs(), |k| {
-            let members: Vec<&Job> = bundles[k].iter().map(|&i| &jobs[i]).collect();
-            if members.len() == 1 {
-                vec![self.execute(members[0])]
-            } else {
-                self.execute_fused(&members)
-            }
+        // 2. Simulate the misses, one cell per pool job.
+        let order = Self::stream_order(jobs, &slots);
+        let fresh = pool::run_indexed(order.len(), self.opts.effective_jobs(), |k| {
+            self.execute(&jobs[order[k]])
         });
 
-        // 3. Store fresh results and fill their slots — each cell under
-        //    its own unchanged canonical key, fused or not.
-        let mut fused_passes = 0u64;
-        let mut fused_lanes = 0u64;
-        for (bundle, results) in bundles.iter().zip(fresh) {
-            if bundle.len() > 1 {
-                fused_passes += 1;
-                fused_lanes += bundle.len() as u64;
+        // 3. Store fresh results under their canonical keys and fill
+        //    their slots.
+        for (&i, result) in order.iter().zip(fresh) {
+            if let Some(cache) = &self.cache {
+                // A failed store is not fatal — the result is still
+                // good, the next run just recomputes.
+                let _ = cache.store(&jobs[i], &result);
             }
-            for (&i, result) in bundle.iter().zip(results) {
-                if let Some(cache) = &self.cache {
-                    // A failed store is not fatal — the result is still
-                    // good, the next run just recomputes.
-                    let _ = cache.store(&jobs[i], &result);
-                }
-                slots[i] = Some(result);
-            }
+            slots[i] = Some(result);
         }
 
         let results: Vec<JobResult> = slots
             .into_iter()
             .map(|s| s.expect("every slot filled"))
             .collect();
-        let mut telemetry = self.telemetry.lock().unwrap();
-        telemetry.absorb(jobs, &results);
-        telemetry.fused_passes += fused_passes;
-        telemetry.fused_lanes += fused_lanes;
-        drop(telemetry);
+        self.telemetry
+            .lock()
+            .expect("telemetry lock poisoned")
+            .absorb(jobs, &results);
         results
     }
 
-    /// Groups cache-miss indices into fused bundles. Cells fuse when the
-    /// fused path applies (trace replay on, fusion on) and they share the
-    /// stream identity — binary, commit budget and sample slice; each
-    /// group keeps grid order, and group order follows each stream's
-    /// first appearance, so scheduling stays deterministic.
-    fn bundle_misses(&self, jobs: &[Job], miss_idx: &[usize]) -> Vec<Vec<usize>> {
-        if !(self.opts.replay && self.opts.fuse) {
-            return miss_idx.iter().map(|&i| vec![i]).collect();
-        }
-        let mut order: Vec<(CompileKey, u64, Option<SampleSlice>, Option<TraceId>)> = Vec::new();
+    /// Orders the cache misses (the empty `slots`) stream by stream:
+    /// cells sharing a stream identity — binary, commit budget, sample
+    /// slice, external trace — become adjacent, streams in order of first
+    /// appearance and cells in grid order within each. The pool seeds
+    /// each worker with a contiguous run of this order, so a stream's
+    /// cells replay back to back from one capture while it is among the
+    /// trace memo's newest entries. Plan order would scatter them: the
+    /// full report returns to each if-converted binary in Figures 6a and
+    /// 6b and the IPC ablation.
+    fn stream_order(jobs: &[Job], slots: &[Option<JobResult>]) -> Vec<usize> {
+        let mut streams: Vec<(CompileKey, u64, Option<SampleSlice>, Option<TraceId>)> = Vec::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        for &i in miss_idx {
-            let job = &jobs[i];
+        for (i, job) in jobs.iter().enumerate() {
+            if slots[i].is_some() {
+                continue;
+            }
             let key = (CompileKey::of(job), job.commits, job.sample, job.trace);
-            match order.iter().position(|k| *k == key) {
+            match streams.iter().position(|k| *k == key) {
                 Some(g) => groups[g].push(i),
                 None => {
-                    order.push(key);
+                    streams.push(key);
                     groups.push(vec![i]);
                 }
             }
         }
-        groups
+        groups.concat()
     }
 
     /// Runs a single job (grid of one).
@@ -612,34 +583,34 @@ impl Runner {
             .unwrap()
     }
 
-    /// In-process memo size caps. A one-shot grid never reaches them;
-    /// they exist so a long-lived runner (`ppsim serve`) holds bounded
-    /// memory. Overflow flushes the whole memo — in-flight holders keep
-    /// their `Arc`s, future jobs re-derive — which is crude but cheap
-    /// and, crucially, invisible to results. Traces are the big entries
-    /// (~5 B per captured record), so their cap is the tightest.
+    /// In-process memo size caps, so a long-lived runner (`ppsim serve`)
+    /// holds bounded memory. Overflow evicts the least recently used
+    /// entry (see [`Memo`]), which is invisible to results. Traces are
+    /// the big entries (~5 B per captured record), so their cap is the
+    /// tightest; the full report's 44 streams overflow it.
     const COMPILE_MEMO_CAP: usize = 256;
     const TRACE_MEMO_CAP: usize = 32;
     const CKPT_MEMO_CAP: usize = 256;
 
-    /// Flushes `map` when inserting a new `key` would exceed `cap`,
-    /// recording the eviction count in telemetry.
-    fn bound_memo<K: std::hash::Hash + Eq, V>(&self, map: &mut HashMap<K, V>, key: &K, cap: usize) {
-        if map.len() >= cap && !map.contains_key(key) {
-            let evicted = map.len() as u64;
-            map.clear();
-            self.telemetry.lock().unwrap().memo_evictions += evicted;
+    /// Looks `key` up in `memo`, counting an eviction in telemetry.
+    fn memo_cell<K: std::hash::Hash + Eq, V>(
+        &self,
+        memo: &Mutex<Memo<K, V>>,
+        key: K,
+    ) -> Arc<OnceLock<V>> {
+        let (cell, evicted) = memo.lock().expect("memo lock poisoned").cell(key);
+        if evicted {
+            self.telemetry
+                .lock()
+                .expect("telemetry lock poisoned")
+                .memo_evictions += 1;
         }
+        cell
     }
 
     /// Compiles (or returns the memoized binary for) a job's benchmark.
     fn compiled_for(&self, job: &Job) -> Arc<Compiled> {
-        let key = CompileKey::of(job);
-        let cell = {
-            let mut map = self.compiled.lock().unwrap();
-            self.bound_memo(&mut map, &key, Self::COMPILE_MEMO_CAP);
-            Arc::clone(map.entry(key).or_default())
-        };
+        let cell = self.memo_cell(&self.compiled, CompileKey::of(job));
         cell.get_or_init(|| {
             let spec = self
                 .suite
@@ -675,11 +646,7 @@ impl Runner {
             compile: CompileKey::of(job),
             steps,
         };
-        let cell = {
-            let mut map = self.traces.lock().unwrap();
-            self.bound_memo(&mut map, &key, Self::TRACE_MEMO_CAP);
-            Arc::clone(map.entry(key).or_default())
-        };
+        let cell = self.memo_cell(&self.traces, key);
         let mut capture_micros = 0u64;
         let mut fresh = false;
         let trace = cell
@@ -709,11 +676,7 @@ impl Runner {
             compile: CompileKey::of(job),
             steps,
         };
-        let cell = {
-            let mut map = self.ckpts.lock().unwrap();
-            self.bound_memo(&mut map, &key, Self::CKPT_MEMO_CAP);
-            Arc::clone(map.entry(key).or_default())
-        };
+        let cell = self.memo_cell(&self.ckpts, key);
         let mut ff_micros = 0u64;
         let mut fresh = false;
         let ckpt = cell
@@ -744,82 +707,6 @@ impl Runner {
         opts
     }
 
-    /// Runs a bundle of replay cells sharing one stream as a single
-    /// fused lane-parallel pass ([`LaneSet`]): the trace is decoded
-    /// once, every lane keeps its own complete timing state, and each
-    /// lane's result is bit-identical to its solo run.
-    ///
-    /// Accounting: the capture phase (and the memo-miss flag) is charged
-    /// to the first lane, mirroring the solo path where only the
-    /// capturing cell pays it; the shared pass's simulation time is
-    /// split evenly across lanes, so grid-level `sim_micros` sums stay
-    /// meaningful.
-    fn execute_fused(&self, members: &[&Job]) -> Vec<JobResult> {
-        let lead = members[0];
-        if let Some(id) = lead.trace {
-            // Bundles group by trace identity, so every member shares
-            // this registered stream.
-            return self.execute_fused_traced(members, id);
-        }
-        let started = Instant::now();
-        let compiled = self.compiled_for(lead);
-        let compile_micros = started.elapsed().as_micros() as u64;
-        let cells: Vec<SimOptions> = members.iter().map(|j| Self::sim_options_for(j)).collect();
-
-        let (runs, capture_micros, trace_memo_hit, sim_micros) = match lead.sample {
-            Some(slice) => {
-                let (trace, capture_micros, memo_hit) =
-                    self.trace_for(lead, &compiled, slice.spec.span());
-                let start = slice.spec.window_start(slice.index);
-                let cursor =
-                    TraceCursor::window(trace, start, slice.spec.warmup + slice.spec.measure);
-                let mut lanes = LaneSet::new(cursor, &cells)
-                    .expect("grid jobs carry only applicable overrides");
-                let sim_started = Instant::now();
-                let runs = lanes.run_sample(slice.spec.warmup, slice.spec.measure);
-                (
-                    runs,
-                    capture_micros,
-                    memo_hit,
-                    sim_started.elapsed().as_micros() as u64,
-                )
-            }
-            None => {
-                let (trace, capture_micros, memo_hit) =
-                    self.trace_for(lead, &compiled, lead.commits);
-                let mut lanes = LaneSet::new(TraceCursor::new(trace), &cells)
-                    .expect("grid jobs carry only applicable overrides");
-                let sim_started = Instant::now();
-                let runs = lanes.run(lead.commits);
-                (
-                    runs,
-                    capture_micros,
-                    memo_hit,
-                    sim_started.elapsed().as_micros() as u64,
-                )
-            }
-        };
-
-        let wall_micros = started.elapsed().as_micros() as u64;
-        let static_insns = compiled.program.count_insns(|_| true) as u64;
-        let static_cond_branches = compiled.program.count_insns(|i| i.is_cond_branch()) as u64;
-        let n = members.len() as u64;
-        runs.into_iter()
-            .enumerate()
-            .map(|(lane, run)| JobResult {
-                stats: run.stats,
-                static_insns,
-                static_cond_branches,
-                from_cache: false,
-                wall_micros: wall_micros / n,
-                compile_micros: if lane == 0 { compile_micros } else { 0 },
-                capture_micros: if lane == 0 { capture_micros } else { 0 },
-                sim_micros: sim_micros / n,
-                trace_memo_hit: if lane == 0 { trace_memo_hit } else { true },
-            })
-            .collect()
-    }
-
     /// Static-code counters of an external trace's synthesized or
     /// exported code image (the compile-path equivalents come from the
     /// compiled binary).
@@ -827,54 +714,6 @@ impl Runner {
         let insns = trace.code().len() as u64;
         let cond = trace.code().iter().filter(|i| i.is_cond_branch()).count() as u64;
         (insns, cond)
-    }
-
-    /// Runs a fused bundle of cells over one registered external trace.
-    /// Same accounting as [`Runner::execute_fused`], minus the compile
-    /// and capture phases (an imported stream has neither).
-    fn execute_fused_traced(&self, members: &[&Job], id: TraceId) -> Vec<JobResult> {
-        let started = Instant::now();
-        let lead = members[0];
-        let trace = self.ext_trace(id);
-        let cells: Vec<SimOptions> = members.iter().map(|j| Self::sim_options_for(j)).collect();
-        let (runs, sim_micros) = match lead.sample {
-            Some(slice) => {
-                let start = slice.spec.window_start(slice.index);
-                let cursor = TraceCursor::window(
-                    Arc::clone(&trace),
-                    start,
-                    slice.spec.warmup + slice.spec.measure,
-                );
-                let mut lanes = LaneSet::new(cursor, &cells)
-                    .expect("grid jobs carry only applicable overrides");
-                let sim_started = Instant::now();
-                let runs = lanes.run_sample(slice.spec.warmup, slice.spec.measure);
-                (runs, sim_started.elapsed().as_micros() as u64)
-            }
-            None => {
-                let mut lanes = LaneSet::new(TraceCursor::new(Arc::clone(&trace)), &cells)
-                    .expect("grid jobs carry only applicable overrides");
-                let sim_started = Instant::now();
-                let runs = lanes.run(lead.commits);
-                (runs, sim_started.elapsed().as_micros() as u64)
-            }
-        };
-        let wall_micros = started.elapsed().as_micros() as u64;
-        let (static_insns, static_cond_branches) = Self::trace_static_counts(&trace);
-        let n = members.len() as u64;
-        runs.into_iter()
-            .map(|run| JobResult {
-                stats: run.stats,
-                static_insns,
-                static_cond_branches,
-                from_cache: false,
-                wall_micros: wall_micros / n,
-                compile_micros: 0,
-                capture_micros: 0,
-                sim_micros: sim_micros / n,
-                trace_memo_hit: false,
-            })
-            .collect()
     }
 
     /// Simulates one cell over a registered external trace. Imported
@@ -1211,90 +1050,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_grid_matches_per_cell_bit_for_bit() {
-        let fused = Runner::serial_no_cache();
-        let solo = Runner::new(RunnerOptions {
-            jobs: 1,
-            cache: false,
-            fuse: false,
-            ..RunnerOptions::default()
-        });
-        let grid = vec![
-            tiny(SchemeKind::Conventional),
-            tiny(SchemeKind::PepPa),
-            tiny(SchemeKind::Predicate),
-        ];
-        let a = fused.run_grid(&grid);
-        let b = solo.run_grid(&grid);
-        for ((x, y), job) in a.iter().zip(&b).zip(&grid) {
-            assert_eq!(
-                x.stats,
-                y.stats,
-                "fusion must be invisible to statistics ({})",
-                job.label()
-            );
-        }
-        let tf = fused.telemetry();
-        assert_eq!(tf.fused_passes, 1, "three cells share one stream");
-        assert_eq!(tf.fused_lanes, 3);
-        assert!((tf.lanes_per_pass() - 3.0).abs() < 1e-12);
-        let ts = solo.telemetry();
-        assert_eq!(ts.fused_passes, 0, "--no-fuse runs cells solo");
-        assert_eq!(ts.fused_lanes, 0);
-    }
-
-    #[test]
-    fn fused_sampled_grid_matches_per_cell() {
-        let spec = SampleSpec {
-            skip: 1_000,
-            warmup: 500,
-            measure: 1_000,
-            stride: 2_000,
-            count: 2,
-        };
-        let fused = Runner::serial_no_cache();
-        let solo = Runner::new(RunnerOptions {
-            jobs: 1,
-            cache: false,
-            fuse: false,
-            ..RunnerOptions::default()
-        });
-        let grid = vec![tiny(SchemeKind::Conventional), tiny(SchemeKind::Predicate)];
-        let a = fused.run_grid_sampled(&grid, spec);
-        let b = solo.run_grid_sampled(&grid, spec);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.aggregate.stats, y.aggregate.stats);
-            for (xs, ys) in x.samples.iter().zip(&y.samples) {
-                assert_eq!(xs.stats, ys.stats, "per-window agreement");
-            }
-        }
-        // Two cells × two windows → one fused pass per window.
-        assert_eq!(fused.telemetry().fused_passes, 2);
-        assert_eq!(fused.telemetry().fused_lanes, 4);
-    }
-
-    #[test]
-    fn mixed_budgets_only_fuse_matching_streams() {
-        let r = Runner::serial_no_cache();
-        let long = Job {
-            commits: 6_000,
-            ..tiny(SchemeKind::Conventional)
-        };
-        let grid = vec![
-            tiny(SchemeKind::Conventional),
-            long,
-            tiny(SchemeKind::Predicate),
-        ];
-        r.run_grid(&grid);
-        let t = r.telemetry();
-        assert_eq!(
-            t.fused_passes, 1,
-            "only the two same-budget cells share a stream"
-        );
-        assert_eq!(t.fused_lanes, 2);
-    }
-
-    #[test]
     fn options_parse_runner_flags() {
         let args: Vec<String> = [
             "--json",
@@ -1438,68 +1193,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_trace_grid_matches_solo_trace_cells() {
-        let fused = Runner::serial_no_cache();
-        let solo = Runner::new(RunnerOptions {
-            jobs: 1,
-            cache: false,
-            fuse: false,
-            ..RunnerOptions::default()
-        });
-        let trace = gzip_trace(5_000);
-        let fid = fused.register_trace(Arc::clone(&trace), false);
-        let sid = solo.register_trace(trace, false);
-        assert_eq!(fid, sid);
-        let grid = |id| {
-            vec![
-                Job {
-                    trace: Some(id),
-                    ..tiny(SchemeKind::Conventional)
-                },
-                Job {
-                    trace: Some(id),
-                    ..tiny(SchemeKind::PepPa)
-                },
-                Job {
-                    trace: Some(id),
-                    ..tiny(SchemeKind::Predicate)
-                },
-            ]
-        };
-        let a = fused.run_grid(&grid(fid));
-        let b = solo.run_grid(&grid(sid));
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(
-                x.stats, y.stats,
-                "fusion is invisible over imported streams"
-            );
-        }
-        assert_eq!(fused.telemetry().fused_passes, 1);
-        assert_eq!(fused.telemetry().fused_lanes, 3);
-    }
-
-    #[test]
-    fn trace_and_benchmark_cells_never_fuse_together() {
-        let r = Runner::serial_no_cache();
-        let id = r.register_trace(gzip_trace(5_000), false);
-        let grid = vec![
-            tiny(SchemeKind::Conventional),
-            Job {
-                trace: Some(id),
-                ..tiny(SchemeKind::Predicate)
-            },
-            tiny(SchemeKind::Predicate),
-        ];
-        r.run_grid(&grid);
-        let t = r.telemetry();
-        assert_eq!(
-            t.fused_passes, 1,
-            "only the two benchmark cells share a stream"
-        );
-        assert_eq!(t.fused_lanes, 2);
-    }
-
-    #[test]
     fn trace_cells_hit_the_disk_cache() {
         let dir = std::env::temp_dir().join(format!("ppsim-trace-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1567,25 +1260,55 @@ mod tests {
     }
 
     #[test]
-    fn trace_memo_cap_flushes_and_counts() {
+    fn single_stream_grid_runs_one_job_per_cell() {
+        let r = Runner::new(RunnerOptions {
+            jobs: 2,
+            cache: false,
+            ..RunnerOptions::default()
+        });
+        let grid: Vec<Job> = SchemeKind::ALL[..6].iter().map(|&s| tiny(s)).collect();
+        r.run_grid(&grid);
+        let t = r.telemetry();
+        assert_eq!(t.jobs_run, 6);
+        assert_eq!(t.per_job.len(), 6, "one timing row per cell");
+        for (row, job) in t.per_job.iter().zip(&grid) {
+            assert_eq!(row.label, job.label(), "rows follow grid order");
+            assert!(row.sim_micros > 0 && row.wall_micros >= row.sim_micros);
+        }
+        assert_eq!(t.captures, 1, "six cells, one stream, one capture");
+        assert_eq!(t.trace_memo_hits, 5);
+        assert_eq!(t.fused_passes, 0);
+        assert_eq!(t.lanes_per_pass(), 0.0);
+    }
+
+    #[test]
+    fn trace_memo_cap_evicts_the_least_recently_used_stream() {
         let r = Runner::serial_no_cache();
         // Distinct commit budgets force distinct trace-memo keys.
-        let jobs: Vec<Job> = (0..=Runner::TRACE_MEMO_CAP as u64)
-            .map(|n| Job {
-                commits: 1_000 + n,
-                ..tiny(SchemeKind::Conventional)
-            })
+        let budget = |n: usize, scheme| Job {
+            commits: 1_000 + n as u64,
+            ..tiny(scheme)
+        };
+        let cap = Runner::TRACE_MEMO_CAP;
+        let fill: Vec<Job> = (0..cap)
+            .map(|n| budget(n, SchemeKind::Conventional))
             .collect();
-        r.run_grid(&jobs);
+        r.run_grid(&fill);
+        assert_eq!(r.telemetry().memo_evictions, 0, "exactly full");
+        // Touch stream 0, then overflow: stream 1 is now the oldest.
+        r.run_job(&budget(0, SchemeKind::Predicate));
+        r.run_job(&budget(cap, SchemeKind::Conventional));
         let t = r.telemetry();
-        assert_eq!(
-            t.memo_evictions,
-            Runner::TRACE_MEMO_CAP as u64,
-            "overflow flushed the full memo once"
-        );
+        assert_eq!(t.memo_evictions, 1, "overflow evicts one entry");
+        assert_eq!(t.captures, cap as u64 + 1);
+        assert_eq!(r.traces.lock().unwrap().len(), cap, "memo stays bounded");
+        let kept = r.run_job(&budget(0, SchemeKind::PepPa));
+        assert!(kept.trace_memo_hit, "the recently used stream survived");
+        let evicted = r.run_job(&budget(1, SchemeKind::Predicate));
         assert!(
-            r.traces.lock().unwrap().len() <= Runner::TRACE_MEMO_CAP,
-            "memo stays bounded"
+            !evicted.trace_memo_hit,
+            "the least recently used one did not"
         );
+        assert_eq!(r.telemetry().captures, cap as u64 + 2);
     }
 }

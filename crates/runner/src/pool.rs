@@ -2,11 +2,21 @@
 //!
 //! Built on `std::thread::scope` only — the workspace carries no external
 //! dependencies. Each worker owns a deque seeded with a contiguous chunk
-//! of job indices; when a worker drains its own deque it steals from the
-//! back of the longest victim deque. Results land in pre-allocated
-//! indexed slots, so the *assembly order* is the canonical grid order
-//! regardless of which worker ran which job or in what interleaving —
-//! output is byte-identical for any `--jobs N`.
+//! of job indices (odd workers walk theirs backwards); when a worker
+//! drains its own deque it steals from the back of the longest victim
+//! deque. Worker 0 is the calling thread, so a pool of N workers spawns
+//! N − 1 threads. Results land in pre-allocated indexed slots, so the
+//! *assembly order* is the canonical grid order regardless of which
+//! worker ran which job or in what interleaving — output is
+//! byte-identical for any `--jobs N`.
+//!
+//! Running worker 0 on the caller is a memory decision as much as a
+//! thread-count one: every fresh thread that allocates gets its own glibc
+//! malloc arena, and arenas keep freed simulator state resident. A
+//! long-lived caller (the `ppsim serve` handler, prewarming a grid in
+//! `--jobs`-sized chunks) would otherwise run every chunk on fresh
+//! threads only; on the serve-mix benchmark that raised the daemon's
+//! peak RSS by 15–22%.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -14,8 +24,10 @@ use std::sync::Mutex;
 /// Runs `work(i)` for every `i in 0..n` across `jobs` workers and returns
 /// the results in index order.
 ///
-/// `jobs == 1` short-circuits to a plain serial loop (no threads, no
-/// locks). `work` must be safe to call concurrently from many threads.
+/// The calling thread runs worker 0's share and `min(jobs, n) − 1`
+/// threads run the rest; `jobs == 1` short-circuits to a plain serial
+/// loop (no threads, no locks). `work` must be safe to call concurrently
+/// from many threads.
 pub fn run_indexed<T, F>(n: usize, jobs: usize, work: F) -> Vec<T>
 where
     T: Send,
@@ -28,34 +40,37 @@ where
 
     let workers = jobs.min(n);
     // Seed each worker's deque with a contiguous chunk so cache-warm
-    // neighbours (same benchmark, different scheme) start on one thread.
+    // neighbours (same benchmark, different scheme) run on one thread.
+    // Odd workers walk their chunk backwards, so two neighbouring chunks
+    // reach their shared boundary together — both first or both last —
+    // and a run of related indices straddling it is not split between
+    // the start and the end of the grid.
     let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
         .map(|w| {
-            let lo = w * n / workers;
-            let hi = (w + 1) * n / workers;
-            Mutex::new((lo..hi).collect())
+            let chunk = w * n / workers..(w + 1) * n / workers;
+            Mutex::new(if w % 2 == 0 {
+                chunk.collect()
+            } else {
+                chunk.rev().collect()
+            })
         })
         .collect();
 
     // One pre-allocated slot per job; each index is written exactly once.
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let work = &work;
-            scope.spawn(move || loop {
-                let idx = next_index(deques, w);
-                match idx {
-                    Some(i) => {
-                        let value = work(i);
-                        *slots[i].lock().unwrap() = Some(value);
-                    }
-                    None => break,
-                }
-            });
+    let drain = |w: usize| {
+        while let Some(i) = next_index(&deques, w) {
+            let value = work(i);
+            *slots[i].lock().expect("result slot lock poisoned") = Some(value);
         }
+    };
+    std::thread::scope(|scope| {
+        for w in 1..workers {
+            let drain = &drain;
+            scope.spawn(move || drain(w));
+        }
+        drain(0);
     });
 
     slots
@@ -140,6 +155,33 @@ mod tests {
     fn more_workers_than_jobs() {
         let out = run_indexed(3, 16, |i| i);
         assert_eq!(out, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn the_caller_is_worker_zero_and_odd_workers_walk_backwards() {
+        // Every job meets a partner at a two-party barrier, so the two
+        // workers run in lockstep rounds and neither ever steals.
+        let caller = std::thread::current().id();
+        let barrier = std::sync::Barrier::new(2);
+        let started = AtomicUsize::new(0);
+        let ran = run_indexed(4, 2, |_| {
+            let round = started.fetch_add(1, Ordering::SeqCst) / 2;
+            barrier.wait();
+            (std::thread::current().id(), round)
+        });
+        let (threads, rounds): (Vec<_>, Vec<_>) = ran.into_iter().unzip();
+        assert_eq!(
+            threads[..2],
+            [caller, caller],
+            "worker 0's chunk runs on the caller"
+        );
+        assert_ne!(threads[2], caller);
+        assert_eq!(threads[2], threads[3]);
+        assert_eq!(
+            rounds,
+            [0, 1, 1, 0],
+            "worker 1 walks its chunk from the end"
+        );
     }
 
     #[test]

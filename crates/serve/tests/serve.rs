@@ -3,6 +3,7 @@
 //! runs its own server on an ephemeral loopback port with a private
 //! cache directory.
 
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -11,6 +12,7 @@ use std::thread::JoinHandle;
 
 use ppsim_core::{experiments, ExperimentConfig, Json, Runner, RunnerOptions};
 use ppsim_pipeline::{PredicationModel, SchemeSpec};
+use ppsim_serve::protocol::GridRequest;
 use ppsim_serve::{submit, ServeOptions, Server, ServerState, SubmitOptions};
 
 /// The fig-6a cell every determinism test asks for (PEP-PA column).
@@ -391,6 +393,39 @@ fn fuzzed_request_bytes_never_kill_the_server() {
             >= 1.0
     );
     server.stop();
+}
+
+/// The `report` op prewarms the full grid in `--jobs`-sized chunks of
+/// plan order, over more streams than the trace memo holds (32). The
+/// if-converted binaries come back in Figure 6b and the IPC ablation
+/// after the memo has overflowed; each (binary, budget) stream must
+/// still be captured exactly once.
+#[test]
+fn chunked_report_prewarm_captures_each_stream_once() {
+    let dir = temp_dir("prewarm");
+    let state = ServerState::new(&ServeOptions {
+        runner: RunnerOptions {
+            jobs: 2,
+            cache_dir: Some(dir.clone()),
+            ..RunnerOptions::default()
+        },
+        ..ServeOptions::default()
+    });
+    let req = GridRequest {
+        commits: 2_000,
+        profile_steps: 20_000,
+        only: Vec::new(),
+        sample: None,
+    };
+    state.run_report(&req, |_, _| {}).expect("report renders");
+    let jobs = experiments::plan(&req.config(), experiments::PlanSpec::FullReport);
+    let streams: HashSet<(&str, bool)> = jobs
+        .iter()
+        .map(|j| (j.benchmark.as_str(), j.ifconv))
+        .collect();
+    assert!(streams.len() > 32, "{} streams", streams.len());
+    assert_eq!(state.runner.telemetry().captures, streams.len() as u64);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `stats` exposes the tentpole's counters: telemetry, server counters

@@ -7,10 +7,18 @@
 //!    job is a cache hit) and reproduces the exact same report.
 //! 3. **Artifacts** — the JSON report round-trips through the hand-rolled
 //!    parser and carries the figure data and telemetry.
+//! 4. **One job per cell** — per-cell statistics do not depend on the
+//!    worker count, and each stream is captured once.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use ppsim::core::{experiments, ExperimentConfig, Json, Runner, RunnerOptions};
+use ppsim::compiler::{compile, spec2000_suite, CompileOptions};
+use ppsim::core::{
+    experiments, trace_report, ExperimentConfig, Json, Runner, RunnerOptions, TraceWorkload,
+};
+use ppsim::pipeline::{LaneSet, SimOptions, TraceBuffer, TraceCursor};
 
 /// A fast configuration: one benchmark, small budgets. Big enough to
 /// exercise every scheme, compile mode and the shadow predictor.
@@ -181,13 +189,12 @@ fn json_report_round_trips_and_carries_metrics() {
 }
 
 #[test]
-fn fused_fig6a_grid_preserves_cross_lane_isolation() {
-    // The fused path's acceptance gate, end to end: the FULL Figure-6a
-    // grid (every benchmark × every scheme column) run as fused lanes
-    // must report per-cell statistics identical to dedicated per-cell
-    // jobs. Any cross-lane state leak — a shared predictor table, a
-    // polluted history register, a resource ledger carried between
-    // lanes — shows up as a SimStats diff on some cell.
+fn per_cell_jobs_give_identical_stats_at_any_worker_count() {
+    // Every cell is its own pool job, so the worker count decides which
+    // thread runs a cell and which cells run side by side. Neither may
+    // reach the statistics: the FULL Figure-6a grid (every benchmark ×
+    // every scheme column) and a six-scheme grid over one imported
+    // stream must report identical per-cell stats at 1, 2 and 4 workers.
     let cfg = ExperimentConfig {
         commits: 8_000,
         profile_steps: 20_000,
@@ -195,36 +202,63 @@ fn fused_fig6a_grid_preserves_cross_lane_isolation() {
     };
     let jobs = experiments::plan(&cfg, experiments::PlanSpec::Fig6a);
     assert!(jobs.len() >= 60, "full grid: {} cells", jobs.len());
+    let spec = spec2000_suite()
+        .into_iter()
+        .find(|s| s.name == "gzip")
+        .expect("gzip is in the suite");
+    let compiled = compile(&spec, &CompileOptions::with_ifconv()).expect("gzip compiles");
+    let capture = TraceBuffer::capture(&compiled.program, cfg.commits).expect("capture");
+    let workload = TraceWorkload::from_capture("gzip", "", capture);
 
-    let fused = runner(4, None);
-    let solo = Runner::new(RunnerOptions {
-        jobs: 4,
-        fuse: false,
-        ..RunnerOptions::default()
-    });
-    let a = fused.run_grid(&jobs);
-    let b = solo.run_grid(&jobs);
-    for ((job, fa), fb) in jobs.iter().zip(&a).zip(&b) {
-        assert_eq!(
-            fa.stats,
-            fb.stats,
-            "cell {} diverged when fused",
-            job.canon()
-        );
-        assert_eq!(fa.static_insns, fb.static_insns, "{}", job.canon());
+    let serial = runner(1, None);
+    let grid = serial.run_grid(&jobs);
+    let traced = trace_report(&serial, &cfg, &workload, 5);
+    assert_eq!(traced.runs.len(), 6, "six scheme columns");
+    for workers in [2, 4] {
+        let r = runner(workers, None);
+        for ((job, a), b) in jobs.iter().zip(&grid).zip(r.run_grid(&jobs)) {
+            assert_eq!(
+                a.stats,
+                b.stats,
+                "cell {} at {workers} workers",
+                job.canon()
+            );
+            assert_eq!(a.static_insns, b.static_insns, "{}", job.canon());
+        }
+        let report = trace_report(&r, &cfg, &workload, 5);
+        for (scheme, (a, b)) in traced
+            .schemes
+            .iter()
+            .zip(traced.runs.iter().zip(&report.runs))
+        {
+            assert_eq!(a, b, "traced {scheme} at {workers} workers");
+        }
     }
+}
 
-    // And the fused runner genuinely fused: one multi-lane pass per
-    // benchmark stream, one lane per scheme column, none on the solo
-    // runner.
-    let t = fused.telemetry();
-    assert_eq!(t.fused_lanes, jobs.len() as u64);
-    assert_eq!(
-        t.fused_passes,
-        t.fused_lanes / experiments::FIG6A_SCHEMES.len() as u64,
-        "every scheme column fused into each stream's pass"
-    );
-    assert_eq!(solo.telemetry().fused_passes, 0);
+#[test]
+fn full_report_grid_captures_each_stream_once() {
+    // The full report spans more (binary, budget) streams than the trace
+    // memo holds (32). Stream-ordered jobs and least-recently-used
+    // eviction must still capture each stream exactly once, even with
+    // two workers each partway through a different stream and one stream
+    // straddling the two workers' chunks.
+    let cfg = ExperimentConfig {
+        commits: 2_000,
+        profile_steps: 20_000,
+        ..ExperimentConfig::default()
+    };
+    let jobs = experiments::plan(&cfg, experiments::PlanSpec::FullReport);
+    let streams: HashSet<(&str, bool)> = jobs
+        .iter()
+        .map(|j| (j.benchmark.as_str(), j.ifconv))
+        .collect();
+    assert!(streams.len() > 32, "{} streams", streams.len());
+    let r = runner(2, None);
+    r.run_grid(&jobs);
+    let t = r.telemetry();
+    assert_eq!(t.captures, streams.len() as u64);
+    assert!(t.memo_evictions > 0, "the memo overflowed");
 }
 
 #[test]
@@ -233,11 +267,7 @@ fn fused_fig6a_identity_survives_tracing_and_phase_profiling() {
     // the same record loop; both must be observation-only. This pins the
     // fig-6a scheme columns, fused, in all four instantiations of the
     // loop against the plain solo replay of each cell.
-    use std::sync::Arc;
-
-    use ppsim::compiler::{compile, spec2000_suite, CompileOptions};
     use ppsim::core::experiments::FIG6A_SCHEMES;
-    use ppsim::pipeline::{LaneSet, SimOptions, TraceBuffer, TraceCursor};
 
     const COMMITS: u64 = 8_000;
     let spec = spec2000_suite()
