@@ -672,8 +672,8 @@ pub struct SampleCellBench {
     pub sampled_committed: u64,
     /// Wall time of the full timing run.
     pub full_micros: u64,
-    /// Wall time of the sampled timing runs (all windows; checkpoint
-    /// fast-forward excluded — it is amortized once per benchmark, see
+    /// Wall time of the sampled timing runs (all windows; the span
+    /// capture excluded — it is amortized once per benchmark, see
     /// [`SampleBenchRow::ff_micros`]).
     pub sampled_micros: u64,
 }
@@ -698,8 +698,9 @@ impl SampleCellBench {
 pub struct SampleBenchRow {
     /// Benchmark name.
     pub benchmark: String,
-    /// One-off cost of walking the functional machine to every window
-    /// start and snapshotting it, shared by every cell.
+    /// One-off cost of capturing the schedule's span — the functional
+    /// fast-forward every window's cursor seeks into — shared by every
+    /// cell.
     pub ff_micros: u64,
     /// Per-cell timings and rates.
     pub cells: Vec<SampleCellBench>,
@@ -727,7 +728,7 @@ impl SampleBenchReport {
     }
 
     /// Total sampled simulation time, *including* each benchmark's
-    /// one-off checkpoint fast-forward — the honest cost of sampling.
+    /// one-off span capture — the honest cost of sampling.
     pub fn sampled_micros(&self) -> u64 {
         self.rows
             .iter()
@@ -821,8 +822,9 @@ impl SampleBenchReport {
     }
 }
 
-/// Times every selected benchmark across [`CELLS`] as a full run and as
-/// a checkpoint-based sampled run, comparing rates and wall time.
+/// Times every selected benchmark across [`CELLS`] as a full inline run
+/// and as a sampled run (one capture of the schedule's span, one
+/// [`TraceCursor::window`] per window), comparing rates and wall time.
 pub fn run_sampled(cfg: &BenchConfig, spec: SampleSpec) -> SampleBenchReport {
     spec.validate()
         .expect("bench sample spec is validated upstream");
@@ -834,20 +836,13 @@ pub fn run_sampled(cfg: &BenchConfig, spec: SampleSpec) -> SampleBenchReport {
         let compiled =
             compile(&bench, &CompileOptions::with_ifconv()).expect("suite benchmarks compile");
 
-        // One functional walk past every window start, snapshotting the
-        // machine at each — the cost every cell of this benchmark shares.
+        // One functional capture spanning every window — the cost every
+        // cell of this benchmark shares.
         let started = Instant::now();
-        let mut machine = Machine::new(&compiled.program);
-        let mut position = 0u64;
-        let mut checkpoints = Vec::with_capacity(spec.count as usize);
-        for i in 0..spec.count {
-            let start = spec.window_start(i);
-            machine
-                .run(start - position)
-                .unwrap_or_else(|e| panic!("functional machine died: {e}"));
-            position = start;
-            checkpoints.push(machine.checkpoint());
-        }
+        let trace = Arc::new(
+            TraceBuffer::capture(&compiled.program, spec.span())
+                .unwrap_or_else(|e| panic!("functional machine died: {e}")),
+        );
         let ff_micros = started.elapsed().as_micros() as u64;
 
         let mut cells = Vec::new();
@@ -857,11 +852,14 @@ pub fn run_sampled(cfg: &BenchConfig, spec: SampleSpec) -> SampleBenchReport {
 
             let started = Instant::now();
             let mut aggregate = SimStats::default();
-            for ckpt in &checkpoints {
-                let mut m = Machine::new(&compiled.program);
-                m.restore(ckpt);
+            for i in 0..spec.count {
+                let window = TraceCursor::window(
+                    Arc::clone(&trace),
+                    spec.window_start(i),
+                    spec.warmup + spec.measure,
+                );
                 let mut sim = opts
-                    .build_source(m)
+                    .build_source(window)
                     .expect("bench cells carry no overrides");
                 let run = sim.run_sample(spec.warmup, spec.measure);
                 aggregate.merge(&run.stats);

@@ -8,7 +8,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::insn::{AluKind, FpuKind, Insn, Op};
 use crate::program::Program;
@@ -24,16 +23,11 @@ type Page = [u8; PAGE_SIZE];
 /// The most-recently-written page is held in a dedicated hot slot
 /// outside the page map, so the sequential access runs that dominate
 /// the benchmarks skip the hash lookup entirely.
-///
-/// Pages are reference-counted so a [`MemSnapshot`] shares them
-/// copy-on-write: taking a snapshot clones only the page *map*; a page's
-/// 4 KiB body is copied lazily, the first time either side writes it
-/// after the snapshot ([`Arc::make_mut`] in the private `page_mut`).
 #[derive(Clone, Debug, Default)]
 pub struct SparseMem {
-    pages: HashMap<u64, Arc<Page>>,
+    pages: HashMap<u64, Box<Page>>,
     /// Last-page memo: (page number, page), not present in `pages`.
-    hot: Option<(u64, Arc<Page>)>,
+    hot: Option<(u64, Box<Page>)>,
 }
 
 impl SparseMem {
@@ -59,47 +53,26 @@ impl SparseMem {
 
     /// Moves page `pno` into the hot slot, materializing it only when
     /// `create` is set; a read of an absent page must stay free (all-zero,
-    /// no allocation). Promotion moves the `Arc`, so it never copies a
-    /// snapshot-shared page body.
-    fn promote(&mut self, pno: u64, create: bool) -> Option<&Arc<Page>> {
+    /// no allocation). Promotion moves the `Box`, never the page body.
+    fn promote(&mut self, pno: u64, create: bool) -> Option<&Page> {
         let hot_hit = matches!(&self.hot, Some((hot_no, _)) if *hot_no == pno);
         if !hot_hit {
             let page = match self.pages.remove(&pno) {
                 Some(p) => p,
-                None if create => Arc::new([0u8; PAGE_SIZE]),
+                None if create => Box::new([0u8; PAGE_SIZE]),
                 None => return None,
             };
             if let Some((old_no, old)) = self.hot.replace((pno, page)) {
                 self.pages.insert(old_no, old);
             }
         }
-        self.hot.as_ref().map(|(_, p)| p)
+        self.hot.as_ref().map(|(_, p)| &**p)
     }
 
-    /// Mutable access to page `pno`, promoting it to the hot slot. A page
-    /// still shared with a [`MemSnapshot`] is copied here, on first write.
+    /// Mutable access to page `pno`, promoting it to the hot slot.
     fn page_mut(&mut self, pno: u64, create: bool) -> Option<&mut Page> {
         self.promote(pno, create)?;
-        self.hot.as_mut().map(|(_, p)| Arc::make_mut(p))
-    }
-
-    /// Takes a copy-on-write snapshot of the current memory image: O(pages)
-    /// reference bumps, no page bodies copied. The hot-page memo is folded
-    /// into the snapshot's map, so it round-trips regardless of which page
-    /// happened to be hot.
-    pub fn snapshot(&self) -> MemSnapshot {
-        let mut pages = self.pages.clone();
-        if let Some((no, p)) = &self.hot {
-            pages.insert(*no, Arc::clone(p));
-        }
-        MemSnapshot { pages }
-    }
-
-    /// Resets this memory to a snapshot's image. Pages become shared with
-    /// the snapshot again; later writes on either side copy on demand.
-    pub fn restore(&mut self, snap: &MemSnapshot) {
-        self.pages = snap.pages.clone();
-        self.hot = None;
+        self.hot.as_mut().map(|(_, p)| &mut **p)
     }
 
     /// Reads one byte.
@@ -138,7 +111,7 @@ impl SparseMem {
 
     /// Reads a little-endian `u64` and promotes its page to the hot
     /// slot, so a sequential run of loads pays one hash lookup total.
-    /// Never materializes a page, and never copies a snapshot-shared one.
+    /// Never materializes a page.
     pub fn load_u64(&mut self, addr: u64) -> u64 {
         let off = (addr as usize) & (PAGE_SIZE - 1);
         if off <= PAGE_SIZE - 8 {
@@ -171,23 +144,6 @@ impl SparseMem {
         for (i, b) in bytes.iter().enumerate() {
             self.write_u8(addr.wrapping_add(i as u64), *b);
         }
-    }
-}
-
-/// A copy-on-write snapshot of a [`SparseMem`] image.
-///
-/// Holds shared references to every materialized page at snapshot time;
-/// neither side copies a page until one of them writes it. Cloning a
-/// snapshot is O(pages) reference bumps.
-#[derive(Clone, Debug, Default)]
-pub struct MemSnapshot {
-    pages: HashMap<u64, Arc<Page>>,
-}
-
-impl MemSnapshot {
-    /// Number of pages captured.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
     }
 }
 
@@ -288,40 +244,6 @@ pub struct RunOutcome {
     pub reason: StopReason,
 }
 
-/// A cheap checkpoint of the full architectural state of a [`Machine`]:
-/// registers, predicates, control state and a copy-on-write
-/// [`MemSnapshot`] of its memory. The code image is *not* captured —
-/// a checkpoint must be restored onto a machine built from the same
-/// [`Program`] (sampled simulation restores many timing cells from one
-/// fast-forwarded functional run).
-#[derive(Clone, Debug)]
-pub struct Checkpoint {
-    grs: [i64; NUM_GR],
-    frs: [f64; NUM_FR],
-    prs: [bool; NUM_PR],
-    mem: MemSnapshot,
-    pc: u32,
-    seq: u64,
-    halted: bool,
-}
-
-impl Checkpoint {
-    /// Dynamic instructions the machine had executed when captured.
-    pub fn steps(&self) -> u64 {
-        self.seq
-    }
-
-    /// Whether the machine had already halted when captured.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Pages captured in the memory snapshot.
-    pub fn page_count(&self) -> usize {
-        self.mem.page_count()
-    }
-}
-
 /// The functional machine: architectural registers, predicates and memory.
 #[derive(Clone, Debug)]
 pub struct Machine {
@@ -419,33 +341,6 @@ impl Machine {
     /// Mutable access to memory, for tests and harnesses.
     pub fn mem_mut(&mut self) -> &mut SparseMem {
         &mut self.mem
-    }
-
-    /// Captures the full architectural state as a cheap [`Checkpoint`]:
-    /// registers and control state by value, memory copy-on-write.
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            grs: self.grs,
-            frs: self.frs,
-            prs: self.prs,
-            mem: self.mem.snapshot(),
-            pc: self.pc,
-            seq: self.seq,
-            halted: self.halted,
-        }
-    }
-
-    /// Resets this machine to a [`Checkpoint`] taken from a machine
-    /// running the same program. Execution resumes exactly where the
-    /// checkpointed machine stood: same pc, step count and memory image.
-    pub fn restore(&mut self, ckpt: &Checkpoint) {
-        self.grs = ckpt.grs;
-        self.frs = ckpt.frs;
-        self.prs = ckpt.prs;
-        self.mem.restore(&ckpt.mem);
-        self.pc = ckpt.pc;
-        self.seq = ckpt.seq;
-        self.halted = ckpt.halted;
     }
 
     fn write_gr(&mut self, r: Gr, value: i64) {
@@ -1109,103 +1004,6 @@ mod tests {
         assert_eq!(m.mem().read_u64(0x3000), 0, "store was nullified");
         assert_eq!(m.gr(g(3)), -1, "load destination untouched");
         assert_eq!(m.mem().page_count(), 0, "no page was materialized");
-    }
-
-    /// A looping program that keeps writing memory, including a store
-    /// that straddles a page boundary each iteration — the worst case for
-    /// the copy-on-write snapshot machinery.
-    fn straddling_loop() -> Program {
-        let boundary = 1u64 << PAGE_SHIFT;
-        let mut a = Asm::new();
-        let top = a.new_label();
-        a.init_gr(g(1), (boundary - 4) as i64); // straddling base
-        a.init_gr(g(4), 0x5000); // in-page base
-        a.movi(g(2), 0);
-        a.bind(top);
-        a.addi(g(2), g(2), 1);
-        a.st(g(2), g(1), 0); // straddles the page boundary
-        a.st(g(2), g(4), 0);
-        a.ld(g(3), g(1), 0);
-        a.cmp(CmpType::Unc, CmpRel::Lt, p(1), p(2), g(2), 40i64);
-        a.pred(p(1)).br(top);
-        a.halt();
-        a.assemble().unwrap()
-    }
-
-    #[test]
-    fn checkpoint_restore_replays_the_identical_committed_stream() {
-        let prog = straddling_loop();
-        let mut m = Machine::new(&prog);
-        // Stop mid-loop, right after a straddling store left a dirty
-        // straddling page pair and the hot-page memo populated.
-        m.run(23).unwrap();
-        let ckpt = m.checkpoint();
-        assert_eq!(ckpt.steps(), 23);
-        assert!(!ckpt.is_halted());
-        assert!(ckpt.page_count() >= 3, "straddling pair + in-page base");
-
-        // Uninterrupted continuation: record the committed stream.
-        let uninterrupted: Vec<ExecRecord> = std::iter::from_fn(|| m.step().unwrap()).collect();
-        assert!(m.is_halted());
-        let final_r3 = m.gr(g(3));
-
-        // Restore onto a *fresh* machine for the same program and replay.
-        let mut fresh = Machine::new(&prog);
-        fresh.restore(&ckpt);
-        assert_eq!(fresh.steps(), 23);
-        let replayed: Vec<ExecRecord> = std::iter::from_fn(|| fresh.step().unwrap()).collect();
-        assert_eq!(replayed, uninterrupted, "committed streams must match");
-        assert_eq!(fresh.gr(g(3)), final_r3);
-        assert_eq!(
-            fresh.mem().read_u64((1u64 << PAGE_SHIFT) - 4),
-            m.mem().read_u64((1u64 << PAGE_SHIFT) - 4)
-        );
-    }
-
-    #[test]
-    fn checkpoint_is_isolated_from_later_writes() {
-        let prog = straddling_loop();
-        let mut m = Machine::new(&prog);
-        m.run(23).unwrap();
-        let ckpt = m.checkpoint();
-        let boundary = 1u64 << PAGE_SHIFT;
-        let at_ckpt = m.mem().read_u64(boundary - 4);
-
-        // Keep running: the machine writes the same (shared) pages; the
-        // snapshot must keep the old bytes (copy-on-write isolation).
-        m.run(u64::MAX).unwrap();
-        assert_ne!(m.mem().read_u64(boundary - 4), at_ckpt);
-
-        m.restore(&ckpt);
-        assert_eq!(m.mem().read_u64(boundary - 4), at_ckpt);
-        assert_eq!(m.steps(), 23);
-        assert!(!m.is_halted());
-
-        // And the restored machine diverges from the snapshot again
-        // without corrupting it: restore twice, same state both times.
-        m.run(7).unwrap();
-        m.restore(&ckpt);
-        assert_eq!(m.mem().read_u64(boundary - 4), at_ckpt);
-        assert_eq!(m.steps(), 23);
-    }
-
-    #[test]
-    fn checkpoint_captures_the_hot_page_memo() {
-        // The hot slot lives outside the page map; a snapshot must fold
-        // it in or lose the most recently written page.
-        let mut m = SparseMem::new();
-        m.write_u64(0x1000, 111); // cold after next write
-        m.write_u64(0x2000, 222); // ends up in the hot slot
-        let snap = m.snapshot();
-        assert_eq!(snap.page_count(), 2);
-        m.write_u64(0x2000, 999);
-        m.write_u64(0x1000, 888);
-        m.restore(&snap);
-        assert_eq!(m.read_u64(0x2000), 222, "hot page was captured");
-        assert_eq!(m.read_u64(0x1000), 111);
-        // Reads after restore never re-materialize or copy pages.
-        assert_eq!(m.load_u64(0x2000), 222);
-        assert_eq!(m.page_count(), 2);
     }
 
     #[test]

@@ -56,10 +56,7 @@ mod reg;
 mod trace;
 
 pub use asm::{Asm, AsmError, Label};
-pub use exec::{
-    Checkpoint, ExecError, ExecInfo, ExecRecord, Machine, MemSnapshot, RunOutcome, SparseMem,
-    StopReason,
-};
+pub use exec::{ExecError, ExecInfo, ExecRecord, Machine, RunOutcome, SparseMem, StopReason};
 pub use insn::{AluKind, CmpRel, CmpType, FpuKind, Insn, Op, Operand};
 pub use parse::{parse_program, ParseError};
 pub use pptrace::{CbpSummary, TraceFileError, TraceMeta};

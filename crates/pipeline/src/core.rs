@@ -555,8 +555,8 @@ impl<S: InsnSource> Simulator<S> {
     /// Runs one sampled window: `warmup` committed instructions through
     /// the full timing model with statistics suppressed, then `measure`
     /// committed instructions that are reported. The source must already
-    /// be positioned at the window start (a restored
-    /// [`ppsim_isa::Checkpoint`] or a [`ppsim_isa::TraceCursor`] window).
+    /// be positioned at the window start (a [`ppsim_isa::TraceCursor`]
+    /// window into a capture, or a machine fast-forwarded to the start).
     pub fn run_sample(&mut self, warmup: u64, measure: u64) -> RunResult {
         self.run(warmup);
         self.begin_measurement();
@@ -2048,11 +2048,11 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_inline_sample_matches_window_replay() {
-        // The two ways of reaching a sampled window — restoring a machine
-        // checkpoint taken after `start` functional steps, and seeking a
-        // trace cursor to record `start` — must produce identical
-        // statistics for the same warmup+measure schedule.
+    fn fast_forwarded_inline_sample_matches_window_replay() {
+        // The two ways of reaching a sampled window — a fresh machine
+        // stepped `start` instructions forward, and a trace cursor seeked
+        // to record `start` — must produce identical statistics for the
+        // same warmup+measure schedule.
         use ppsim_isa::{Machine, TraceBuffer};
         use std::sync::Arc;
 
@@ -2060,20 +2060,12 @@ mod tests {
         let (start, warmup, measure) = (7_000u64, 2_000u64, 5_000u64);
         let trace = Arc::new(TraceBuffer::capture(&program, 100_000).unwrap());
 
-        // Functional fast-forward + checkpoint + restore.
-        let mut ff = Machine::new(&program);
-        ff.run(start).unwrap();
-        let ckpt = ff.checkpoint();
-
         for scheme in [SchemeSpec::Conventional, SchemeSpec::Predicate] {
             let opts = SimOptions::new(scheme, PredicationModel::Selective);
 
-            let mut restored = Machine::new(&program);
-            restored.restore(&ckpt);
-            let inline = opts
-                .build_source(restored)
-                .unwrap()
-                .run_sample(warmup, measure);
+            let mut ff = Machine::new(&program);
+            ff.run(start).unwrap();
+            let inline = opts.build_source(ff).unwrap().run_sample(warmup, measure);
 
             let replay = opts
                 .build_source(TraceCursor::window(
@@ -2087,7 +2079,7 @@ mod tests {
             assert_eq!(inline.halted, replay.halted, "{scheme:?}");
             assert_eq!(
                 inline.stats, replay.stats,
-                "{scheme:?}: checkpoint restore and cursor window must agree"
+                "{scheme:?}: fast-forward and cursor window must agree"
             );
             assert_eq!(inline.stats.committed, measure);
         }

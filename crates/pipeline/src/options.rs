@@ -183,12 +183,11 @@ impl SimOptions {
     }
 
     /// Validates the options and builds the timing model around any
-    /// instruction source: an inline [`ppsim_isa::Machine`] (execution-driven mode —
-    /// fresh, or restored from a [`ppsim_isa::Checkpoint`] so a sampled
-    /// run starts at its window position), or a
-    /// [`ppsim_isa::TraceCursor`] replaying a shared capture (whole
-    /// stream via `TraceCursor::new`, one sampled window via
-    /// `TraceCursor::window`).
+    /// instruction source: a [`ppsim_isa::TraceCursor`] replaying a shared
+    /// capture (whole stream via `TraceCursor::new`, one sampled window
+    /// via `TraceCursor::window`) — the runner's only engine — or an
+    /// inline [`ppsim_isa::Machine`], which the check oracle's lockstep
+    /// cell, `ppsim run` and `ppsim bench`'s inline column drive.
     ///
     /// This is the single constructor behind every execution mode; the
     /// source value *is* the mode. A capture shorter than the run's

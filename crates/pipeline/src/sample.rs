@@ -2,12 +2,12 @@
 //!
 //! A [`SampleSpec`] turns one long timing run into `count` short measured
 //! windows spaced `stride` committed instructions apart. Each window is
-//! reached cheaply (fast-forwarding the *functional* stream — a restored
-//! machine checkpoint or a trace-cursor seek, never the timing model),
-//! then simulated through a `warmup` phase that trains the predictors,
-//! caches and TLBs without reporting, and finally a `measure` phase whose
-//! statistics are kept. Summing the measured windows' raw counters gives
-//! the suite-level estimate: aggregate misprediction rate is
+//! reached cheaply (a cursor seek into one functional capture of the
+//! schedule's span, never the timing model), then simulated through a
+//! `warmup` phase that trains the predictors, caches and TLBs without
+//! reporting, and finally a `measure` phase whose statistics are kept.
+//! Summing the measured windows' raw counters gives the suite-level
+//! estimate: aggregate misprediction rate is
 //! `Σ mispredicts / Σ cond_branches`, aggregate IPC is
 //! `Σ committed / Σ cycles` — each window weighted by the work it did, as
 //! SimPoint/Pinpoint weighting does for equal-length intervals.

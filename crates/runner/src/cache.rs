@@ -5,7 +5,7 @@
 //! text format (the workspace bans serde):
 //!
 //! ```text
-//! ppsim-cache v2
+//! ppsim-cache v8
 //! job.bench=gzip
 //! job.ifconv=0
 //! ...                      # every line of Job::canon, prefixed "job."
@@ -20,15 +20,19 @@
 //! static.cond_branches=42
 //! time.wall_micros=8120
 //! ...                      # capture/compile/sim timing, telemetry-only
+//! sum=0123456789abcdef     # FNV-1a over every preceding byte
 //! end
 //! ```
 //!
-//! Loads verify three things: the version header, the *full* canonical
+//! Loads verify four things: the version header, the *full* canonical
 //! job encoding (so a hash collision or a semantics change in any input
-//! axis reads as a miss, never as a wrong result), and the `end` sentinel
-//! (so a truncated write from a killed process reads as a miss). Stores
-//! write to a `.tmp` sibling and rename into place, which is atomic on
-//! POSIX — concurrent runs never observe half-written entries.
+//! axis reads as a miss, never as a wrong result), the `sum=` checksum
+//! (so a changed byte anywhere before it — a flipped digit in a stored
+//! counter included — reads as a miss, never as a wrong statistic), and
+//! the `end` sentinel (so a truncated write from a killed process reads
+//! as a miss). Stores write to a `.tmp` sibling and rename into place,
+//! which is atomic on POSIX — concurrent runs never observe half-written
+//! entries.
 
 use std::fs;
 use std::io::Write as _;
@@ -41,6 +45,7 @@ use ppsim_mem::CacheStats;
 use ppsim_obs::StallBucket;
 use ppsim_pipeline::SimStats;
 
+use crate::hash::{fnv1a64, hex64};
 use crate::job::{Job, JobResult};
 
 /// Magic first line; bump the version to invalidate every entry.
@@ -58,10 +63,12 @@ use crate::job::{Job, JobResult};
 /// emitted `trace=` axis (external trace ingestion) to the canonical
 /// job encoding — every canon string changed, so pre-trace entries
 /// would all miss on the canon comparison anyway, and the bump retires
-/// them instead of leaving dead files behind. Entries from any other
+/// them instead of leaving dead files behind; v8 added the `sum=`
+/// checksum line before `end` (v7 entries carry none, and their bodies
+/// were never verified, so they are retired too). Entries from any other
 /// version — older or newer — read as misses (the exact-match header
 /// check below), never as wrong results.
-const HEADER: &str = "ppsim-cache v7";
+const HEADER: &str = "ppsim-cache v8";
 /// Last line; its absence marks a truncated entry.
 const FOOTER: &str = "end";
 
@@ -129,9 +136,10 @@ impl DiskCache {
     }
 
     /// Loads the result for `job`, or `None` on any kind of miss
-    /// (absent, truncated, stale canon, unparseable). Corrupt entries
-    /// are treated as misses, not errors — the runner recomputes and
-    /// overwrites them. A hit refreshes the entry's recency.
+    /// (absent, truncated, stale canon, bad checksum, unparseable).
+    /// Corrupt entries are treated as misses, not errors — the runner
+    /// recomputes and overwrites them. A hit refreshes the entry's
+    /// recency.
     pub fn load(&self, job: &Job) -> Option<JobResult> {
         let path = self.entry_path(job);
         let text = fs::read_to_string(&path).ok()?;
@@ -278,13 +286,22 @@ fn render_entry(job: &Job, result: &JobResult) -> String {
     s.push_str(&format!("time.compile_micros={}\n", result.compile_micros));
     s.push_str(&format!("time.capture_micros={}\n", result.capture_micros));
     s.push_str(&format!("time.sim_micros={}\n", result.sim_micros));
-    s.push_str(FOOTER);
-    s.push('\n');
+    let sum = hex64(fnv1a64(s.as_bytes()));
+    s.push_str(&format!("sum={sum}\n{FOOTER}\n"));
     s
 }
 
+/// The part of a stored entry that precedes its `sum=` line, when the
+/// entry ends in exactly `sum=<checksum of that part>` and the `end`
+/// footer; `None` for a truncated or altered entry.
+fn checked_body(text: &str) -> Option<&str> {
+    let (body, trailer) = text.rsplit_once("sum=")?;
+    let sum = trailer.strip_suffix(&format!("\n{FOOTER}\n"))?;
+    (sum == hex64(fnv1a64(body.as_bytes()))).then_some(body)
+}
+
 fn parse_entry(text: &str, job: &Job) -> Option<JobResult> {
-    let mut lines = text.lines();
+    let mut lines = checked_body(text)?.lines();
     if lines.next()? != HEADER {
         return None;
     }
@@ -313,12 +330,7 @@ fn parse_entry(text: &str, job: &Job) -> Option<JobResult> {
     let mut static_insns = None;
     let mut static_cond_branches = None;
     let mut times = [0u64; 4];
-    let mut saw_footer = false;
     for line in rest {
-        if line == FOOTER {
-            saw_footer = true;
-            break;
-        }
         let (key, value) = line.split_once('=')?;
         if let Some(slot) = key.strip_prefix("pc.") {
             let slot: u32 = slot.parse().ok()?;
@@ -346,9 +358,6 @@ fn parse_entry(text: &str, job: &Job) -> Option<JobResult> {
         } else {
             return None;
         }
-    }
-    if !saw_footer {
-        return None; // truncated write
     }
     Some(JobResult {
         stats,
@@ -637,15 +646,23 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Rewrites `text`'s `sum=` line to match its (edited) body, so a
+    /// test can show that a check other than the checksum rejects it.
+    fn resum(text: &str) -> String {
+        let (body, _) = text.rsplit_once("sum=").unwrap();
+        format!("{body}sum={}\n{FOOTER}\n", hex64(fnv1a64(body.as_bytes())))
+    }
+
     #[test]
     fn stale_canon_under_same_name_misses() {
         // Simulate a hash collision / semantics change: an entry whose
-        // file name matches but whose stored canon differs must miss.
+        // file name matches but whose stored canon differs must miss,
+        // even with a checksum that matches the altered body.
         let dir = temp_dir("stale");
         let cache = DiskCache::open(&dir).unwrap();
         let j = job();
-        let mut text = render_entry(&j, &result());
-        text = text.replace("job.bench=gzip", "job.bench=vortex");
+        let text =
+            resum(&render_entry(&j, &result()).replace("job.bench=gzip", "job.bench=vortex"));
         fs::write(cache.dir().join(format!("{}.result", j.hash_hex())), text).unwrap();
         assert!(cache.load(&j).is_none());
         let _ = fs::remove_dir_all(&dir);
@@ -653,27 +670,58 @@ mod tests {
 
     #[test]
     fn stale_format_version_misses() {
-        // An entry written by any other format version — the v6 layout
-        // that predates the trace axis, an ancient v3, or a future v8 —
-        // must read as a miss, never be parsed with today's field
-        // semantics.
+        // An entry written by any other format version — the v7 layout
+        // that predates the checksum, the v6 one that predates the trace
+        // axis, an ancient v3, or a future v9 — must read as a miss, never
+        // be parsed with today's field semantics. The checksum is
+        // recomputed, so only the header check can reject these.
         let dir = temp_dir("version");
         let cache = DiskCache::open(&dir).unwrap();
         let j = job();
+        let path = cache.dir().join(format!("{}.result", j.hash_hex()));
         let current = render_entry(&j, &result());
-        assert!(current.starts_with("ppsim-cache v7\n"), "{current}");
-        for stale in ["ppsim-cache v3", "ppsim-cache v6", "ppsim-cache v8"] {
-            let text = current.replacen(HEADER, stale, 1);
-            fs::write(cache.dir().join(format!("{}.result", j.hash_hex())), text).unwrap();
+        assert!(current.starts_with("ppsim-cache v8\n"), "{current}");
+        for stale in ["v3", "v6", "v7", "v9"].map(|v| format!("ppsim-cache {v}")) {
+            fs::write(&path, resum(&current.replacen(HEADER, &stale, 1))).unwrap();
             assert!(cache.load(&j).is_none(), "{stale} entry must miss");
         }
+        // A true v7 entry: the old header and no `sum=` line.
+        let (body, _) = current.rsplit_once("sum=").unwrap();
+        let v7 = format!("{}{FOOTER}\n", body.replacen(HEADER, "ppsim-cache v7", 1));
+        fs::write(&path, v7).unwrap();
+        assert!(cache.load(&j).is_none(), "a v7 entry must miss");
         // Restoring the real header makes the same bytes hit again.
-        fs::write(
-            cache.dir().join(format!("{}.result", j.hash_hex())),
-            current,
-        )
-        .unwrap();
+        fs::write(&path, current).unwrap();
         assert!(cache.load(&j).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_single_byte_change_misses() {
+        // A stored counter with one changed digit must never load as a
+        // hit with different statistics: every byte of the entry, changed
+        // three ways (a low bit, an ASCII case/space bit, an invalid
+        // UTF-8 byte), must read as a miss.
+        let dir = temp_dir("bytes");
+        let cache = DiskCache::open(&dir).unwrap();
+        let j = job();
+        let path = cache.dir().join(format!("{}.result", j.hash_hex()));
+        let stored = render_entry(&j, &result()).into_bytes();
+        fs::write(&path, &stored).unwrap();
+        assert!(cache.load(&j).is_some(), "the untouched entry hits");
+        let mut mutant = stored.clone();
+        for i in 0..stored.len() {
+            for changed in [stored[i] ^ 0x01, stored[i] ^ 0x20, 0xff] {
+                mutant[i] = changed;
+                fs::write(&path, &mutant).unwrap();
+                assert!(
+                    cache.load(&j).is_none(),
+                    "byte {i} changed from {:#04x} to {changed:#04x} still hit",
+                    stored[i]
+                );
+            }
+            mutant[i] = stored[i];
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

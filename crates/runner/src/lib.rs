@@ -32,8 +32,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use ppsim_compiler::{compile, spec2000_suite, CompileOptions, Compiled, WorkloadSpec};
-use ppsim_isa::{Checkpoint, Machine};
-use ppsim_pipeline::{RunResult, SampleSpec, SimOptions, TraceBuffer, TraceCursor};
+use ppsim_pipeline::{SampleSpec, SimOptions, TraceBuffer, TraceCursor};
 
 use memo::Memo;
 
@@ -56,10 +55,6 @@ pub struct RunnerOptions {
     pub cache: bool,
     /// Cache directory override (`None` = [`DiskCache::default_dir`]).
     pub cache_dir: Option<PathBuf>,
-    /// Drive simulations from a shared captured trace (capture the
-    /// functional stream once per binary, replay it per cell). Disable to
-    /// force the legacy inline-machine path (`--no-replay`).
-    pub replay: bool,
     /// Byte budget for the on-disk cache (`None` = unbounded). When set,
     /// every store evicts least-recently-used entries down to the cap.
     pub cache_max_bytes: Option<u64>,
@@ -71,16 +66,15 @@ impl Default for RunnerOptions {
             jobs: 0,
             cache: true,
             cache_dir: None,
-            replay: true,
             cache_max_bytes: None,
         }
     }
 }
 
 impl RunnerOptions {
-    /// Parses `--jobs N`, `--no-cache`, `--cache-dir P`,
-    /// `--cache-max-bytes B` and `--no-replay` from a raw argument list,
-    /// returning the validated options and the unconsumed arguments.
+    /// Parses `--jobs N`, `--no-cache`, `--cache-dir P` and
+    /// `--cache-max-bytes B` from a raw argument list, returning the
+    /// validated options and the unconsumed arguments.
     pub fn from_args(args: &[String]) -> Result<(RunnerOptions, Vec<String>), String> {
         let mut opts = RunnerOptions::default();
         let mut rest = Vec::new();
@@ -110,7 +104,6 @@ impl RunnerOptions {
                         .map_err(|_| format!("bad --cache-max-bytes value `{v}`"))?;
                     opts.cache_max_bytes = Some(b);
                 }
-                "--no-replay" => opts.replay = false,
                 _ => rest.push(a.clone()),
             }
         }
@@ -165,13 +158,13 @@ pub struct Telemetry {
     pub wall_micros_total: u64,
     /// Fresh trace captures performed (one per (binary, budget) key).
     pub captures: u64,
-    /// Replay jobs whose trace came from the in-process memo.
+    /// Simulated jobs whose capture came from the in-process memo.
     pub trace_memo_hits: u64,
     /// Wall time spent capturing traces, summed (µs).
     pub capture_micros_total: u64,
     /// Entries evicted (least recently used first) from the in-process
-    /// memos (compile, trace, checkpoint) by their size caps — a grid
-    /// over more than 32 streams, or a long-lived runner (`ppsim serve`).
+    /// memos (compile, trace) by their size caps — a grid over more than
+    /// 32 streams, or a long-lived runner (`ppsim serve`).
     pub memo_evictions: u64,
     /// Fused lane-parallel passes executed. Always 0: every cell runs as
     /// its own pool job. The field (and its `fused_passes` JSON key)
@@ -184,8 +177,8 @@ pub struct Telemetry {
 }
 
 /// Wall-time phases of one simulated job: compilation (0 when the memo
-/// already held the binary), trace capture (0 on a trace-memo hit or on
-/// the inline path), simulation, and everything else (cache store,
+/// already held the binary), trace capture (0 on a trace-memo hit or for
+/// an external trace), simulation, and everything else (cache store,
 /// bookkeeping) folded into the total.
 #[derive(Clone, Debug, Default)]
 pub struct JobTiming {
@@ -241,9 +234,9 @@ impl Telemetry {
         0.0
     }
 
-    /// Fraction of replay jobs whose capture was shared from the memo
+    /// Fraction of capture lookups served from the memo
     /// (`trace_memo_hits / (trace_memo_hits + captures)`; 0 when no
-    /// replay job ran).
+    /// benchmark job ran).
     pub fn trace_memo_hit_rate(&self) -> f64 {
         let lookups = self.trace_memo_hits + self.captures;
         if lookups == 0 {
@@ -329,17 +322,6 @@ struct TraceKey {
     steps: u64,
 }
 
-/// Machine-checkpoint memo key: the binary identity plus the functional
-/// fast-forward distance. Sampled jobs on the inline (no-replay) path
-/// restore from these instead of re-running the skipped prefix; windows
-/// of one schedule each get their own key, but every scheme×predication
-/// cell at the same window shares one checkpoint.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct CkptKey {
-    compile: CompileKey,
-    steps: u64,
-}
-
 /// One sampled grid cell after aggregation: the merged estimate plus the
 /// per-window results it was built from (reports show both).
 #[derive(Clone, Debug)]
@@ -362,9 +344,6 @@ pub struct Runner {
     /// Per-(binary, budget) captured-trace memo: capture once, replay
     /// from every cell.
     traces: Mutex<Memo<TraceKey, Arc<TraceBuffer>>>,
-    /// Per-(binary, fast-forward) machine-checkpoint memo for sampled
-    /// inline jobs: fast-forward once, restore per cell.
-    ckpts: Mutex<Memo<CkptKey, Arc<Checkpoint>>>,
     /// Externally supplied trace streams, keyed by content hash (see
     /// [`Runner::register_trace`]). Unlike the capture memo these are
     /// provided, not derived, so they are never evicted: the runner
@@ -392,7 +371,6 @@ impl Runner {
             suite: spec2000_suite(),
             compiled: Mutex::new(Memo::new(Self::COMPILE_MEMO_CAP)),
             traces: Mutex::new(Memo::new(Self::TRACE_MEMO_CAP)),
-            ckpts: Mutex::new(Memo::new(Self::CKPT_MEMO_CAP)),
             ext_traces: Mutex::new(HashMap::new()),
             telemetry: Mutex::new(Telemetry::default()),
         }
@@ -590,7 +568,6 @@ impl Runner {
     /// tightest; the full report's 44 streams overflow it.
     const COMPILE_MEMO_CAP: usize = 256;
     const TRACE_MEMO_CAP: usize = 32;
-    const CKPT_MEMO_CAP: usize = 256;
 
     /// Looks `key` up in `memo`, counting an eviction in telemetry.
     fn memo_cell<K: std::hash::Hash + Eq, V>(
@@ -662,37 +639,6 @@ impl Runner {
         (trace, capture_micros, !fresh)
     }
 
-    /// Returns the shared machine checkpoint `steps` committed
-    /// instructions into a job's binary, fast-forwarding the functional
-    /// emulator on first use. Yields `(checkpoint, ff_micros, memo_hit)`
-    /// with the same accounting convention as [`Runner::trace_for`].
-    fn checkpoint_for(
-        &self,
-        job: &Job,
-        compiled: &Compiled,
-        steps: u64,
-    ) -> (Arc<Checkpoint>, u64, bool) {
-        let key = CkptKey {
-            compile: CompileKey::of(job),
-            steps,
-        };
-        let cell = self.memo_cell(&self.ckpts, key);
-        let mut ff_micros = 0u64;
-        let mut fresh = false;
-        let ckpt = cell
-            .get_or_init(|| {
-                fresh = true;
-                let started = Instant::now();
-                let mut m = Machine::new(&compiled.program);
-                m.run(steps)
-                    .unwrap_or_else(|e| panic!("functional machine died: {e}"));
-                ff_micros = started.elapsed().as_micros() as u64;
-                Arc::new(m.checkpoint())
-            })
-            .clone();
-        (ckpt, ff_micros, !fresh)
-    }
-
     /// The simulator options a job's cell axes translate to.
     fn sim_options_for(job: &Job) -> SimOptions {
         let mut opts = SimOptions::new(job.scheme, job.predication)
@@ -707,146 +653,46 @@ impl Runner {
         opts
     }
 
-    /// Static-code counters of an external trace's synthesized or
-    /// exported code image (the compile-path equivalents come from the
-    /// compiled binary).
-    fn trace_static_counts(trace: &TraceBuffer) -> (u64, u64) {
-        let insns = trace.code().len() as u64;
-        let cond = trace.code().iter().filter(|i| i.is_cond_branch()).count() as u64;
-        (insns, cond)
-    }
-
-    /// Simulates one cell over a registered external trace. Imported
-    /// streams are replay-only — `--no-replay` selects the inline
-    /// functional machine, and no such machine exists for an external
-    /// stream — so this path ignores [`RunnerOptions::replay`].
-    fn execute_traced(&self, job: &Job, id: TraceId) -> JobResult {
+    /// Simulates one cell (a cache miss): takes the cell's stream, seeks
+    /// one cursor into it and runs. The stream is a registered external
+    /// trace, or the memoized capture of the job's binary — `job.commits`
+    /// records for a full run, the schedule's span for a sampled window.
+    fn execute(&self, job: &Job) -> JobResult {
         let started = Instant::now();
-        let trace = self.ext_trace(id);
-        let opts = Self::sim_options_for(job);
-        let (run, sim_micros) = match job.sample {
-            Some(slice) => {
-                let start = slice.spec.window_start(slice.index);
-                let mut sim = opts
-                    .build_source(TraceCursor::window(
-                        Arc::clone(&trace),
-                        start,
-                        slice.spec.warmup + slice.spec.measure,
-                    ))
-                    .expect("grid jobs carry only applicable overrides");
-                let sim_started = Instant::now();
-                let run = sim.run_sample(slice.spec.warmup, slice.spec.measure);
-                (run, sim_started.elapsed().as_micros() as u64)
-            }
+        let (trace, compile_micros, capture_micros, trace_memo_hit) = match job.trace {
+            Some(id) => (self.ext_trace(id), 0, 0, false),
             None => {
-                let mut sim = opts
-                    .build_source(TraceCursor::new(Arc::clone(&trace)))
-                    .expect("grid jobs carry only applicable overrides");
-                let sim_started = Instant::now();
-                let run = sim.run(job.commits);
-                (run, sim_started.elapsed().as_micros() as u64)
+                let compiled = self.compiled_for(job);
+                let compile_micros = started.elapsed().as_micros() as u64;
+                let steps = job.sample.map_or(job.commits, |slice| slice.spec.span());
+                let (trace, capture_micros, memo_hit) = self.trace_for(job, &compiled, steps);
+                (trace, compile_micros, capture_micros, memo_hit)
             }
         };
-        let (static_insns, static_cond_branches) = Self::trace_static_counts(&trace);
+        let static_insns = trace.code().len() as u64;
+        let static_cond_branches =
+            trace.code().iter().filter(|i| i.is_cond_branch()).count() as u64;
+        let cursor = match job.sample {
+            Some(slice) => TraceCursor::window(
+                trace,
+                slice.spec.window_start(slice.index),
+                slice.spec.warmup + slice.spec.measure,
+            ),
+            None => TraceCursor::new(trace),
+        };
+        let mut sim = Self::sim_options_for(job)
+            .build_source(cursor)
+            .expect("grid jobs carry only applicable overrides");
+        let sim_started = Instant::now();
+        let run = match job.sample {
+            Some(slice) => sim.run_sample(slice.spec.warmup, slice.spec.measure),
+            None => sim.run(job.commits),
+        };
+        let sim_micros = sim_started.elapsed().as_micros() as u64;
         JobResult {
             stats: run.stats,
             static_insns,
             static_cond_branches,
-            from_cache: false,
-            wall_micros: started.elapsed().as_micros() as u64,
-            compile_micros: 0,
-            capture_micros: 0,
-            sim_micros,
-            trace_memo_hit: false,
-        }
-    }
-
-    /// Compiles and simulates one job (a cache miss).
-    fn execute(&self, job: &Job) -> JobResult {
-        if let Some(id) = job.trace {
-            return self.execute_traced(job, id);
-        }
-        let started = Instant::now();
-        let compiled = self.compiled_for(job);
-        let compile_micros = started.elapsed().as_micros() as u64;
-
-        let opts = Self::sim_options_for(job);
-
-        let (run, capture_micros, trace_memo_hit, sim_micros): (RunResult, u64, bool, u64) =
-            match (job.sample, self.opts.replay) {
-                (Some(slice), true) => {
-                    // One capture spans the whole schedule; each window
-                    // job seeks a cursor into it.
-                    let (trace, capture_micros, memo_hit) =
-                        self.trace_for(job, &compiled, slice.spec.span());
-                    let start = slice.spec.window_start(slice.index);
-                    let mut sim = opts
-                        .build_source(TraceCursor::window(
-                            trace,
-                            start,
-                            slice.spec.warmup + slice.spec.measure,
-                        ))
-                        .expect("grid jobs carry only applicable overrides");
-                    let sim_started = Instant::now();
-                    let run = sim.run_sample(slice.spec.warmup, slice.spec.measure);
-                    (
-                        run,
-                        capture_micros,
-                        memo_hit,
-                        sim_started.elapsed().as_micros() as u64,
-                    )
-                }
-                (Some(slice), false) => {
-                    // Restore the shared checkpoint at the window start
-                    // instead of re-running the skipped prefix. The
-                    // fast-forward cost is charged to the capture phase —
-                    // it plays the same "position the functional stream"
-                    // role.
-                    let start = slice.spec.window_start(slice.index);
-                    let (ckpt, ff_micros, memo_hit) = self.checkpoint_for(job, &compiled, start);
-                    let mut machine = Machine::new(&compiled.program);
-                    machine.restore(&ckpt);
-                    let mut sim = opts
-                        .build_source(machine)
-                        .expect("grid jobs carry only applicable overrides");
-                    let sim_started = Instant::now();
-                    let run = sim.run_sample(slice.spec.warmup, slice.spec.measure);
-                    (
-                        run,
-                        ff_micros,
-                        memo_hit,
-                        sim_started.elapsed().as_micros() as u64,
-                    )
-                }
-                (None, true) => {
-                    let (trace, capture_micros, memo_hit) =
-                        self.trace_for(job, &compiled, job.commits);
-                    let mut sim = opts
-                        .build_source(TraceCursor::new(trace))
-                        .expect("grid jobs carry only applicable overrides");
-                    let sim_started = Instant::now();
-                    let run = sim.run(job.commits);
-                    (
-                        run,
-                        capture_micros,
-                        memo_hit,
-                        sim_started.elapsed().as_micros() as u64,
-                    )
-                }
-                (None, false) => {
-                    let mut sim = opts
-                        .build_source(Machine::new(&compiled.program))
-                        .expect("grid jobs carry only applicable overrides");
-                    let sim_started = Instant::now();
-                    let run = sim.run(job.commits);
-                    (run, 0, false, sim_started.elapsed().as_micros() as u64)
-                }
-            };
-
-        JobResult {
-            stats: run.stats,
-            static_insns: compiled.program.count_insns(|_| true) as u64,
-            static_cond_branches: compiled.program.count_insns(|i| i.is_cond_branch()) as u64,
             from_cache: false,
             wall_micros: started.elapsed().as_micros() as u64,
             compile_micros,
@@ -914,26 +760,6 @@ mod tests {
             t.per_job[0].wall_micros >= t.per_job[0].sim_micros,
             "phases nest inside the total"
         );
-    }
-
-    #[test]
-    fn replay_matches_inline_bit_for_bit() {
-        let replay = Runner::serial_no_cache();
-        let inline = Runner::new(RunnerOptions {
-            jobs: 1,
-            cache: false,
-            replay: false,
-            ..RunnerOptions::default()
-        });
-        for scheme in [SchemeKind::Conventional, SchemeKind::Predicate] {
-            let j = tiny(scheme);
-            let a = replay.run_job(&j);
-            let b = inline.run_job(&j);
-            assert_eq!(
-                a.stats, b.stats,
-                "trace replay must be invisible to statistics ({scheme:?})"
-            );
-        }
     }
 
     #[test]
@@ -1015,41 +841,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_inline_matches_sampled_replay() {
-        let spec = SampleSpec {
-            skip: 1_500,
-            warmup: 400,
-            measure: 800,
-            stride: 1_500,
-            count: 2,
-        };
-        let replay = Runner::serial_no_cache();
-        let inline = Runner::new(RunnerOptions {
-            jobs: 1,
-            cache: false,
-            replay: false,
-            ..RunnerOptions::default()
-        });
-        for scheme in [SchemeKind::Conventional, SchemeKind::Predicate] {
-            let j = tiny(scheme);
-            let a = replay.run_job_sampled(&j, spec);
-            let b = inline.run_job_sampled(&j, spec);
-            assert_eq!(
-                a.aggregate.stats, b.aggregate.stats,
-                "checkpoint restore and trace window must agree ({scheme:?})"
-            );
-            for (x, y) in a.samples.iter().zip(&b.samples) {
-                assert_eq!(x.stats, y.stats, "{scheme:?}: per-window agreement");
-            }
-        }
-        assert_eq!(
-            inline.ckpts.lock().unwrap().len(),
-            2,
-            "one checkpoint per window start, shared across schemes"
-        );
-    }
-
-    #[test]
     fn options_parse_runner_flags() {
         let args: Vec<String> = [
             "--json",
@@ -1057,7 +848,6 @@ mod tests {
             "--jobs",
             "4",
             "--no-cache",
-            "--no-replay",
             "--cache-dir",
             "/tmp/c",
         ]
@@ -1067,7 +857,6 @@ mod tests {
         let (opts, rest) = RunnerOptions::from_args(&args).unwrap();
         assert_eq!(opts.jobs, 4);
         assert!(!opts.cache);
-        assert!(!opts.replay);
         assert_eq!(
             opts.cache_dir.as_deref(),
             Some(std::path::Path::new("/tmp/c"))

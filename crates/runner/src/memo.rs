@@ -1,5 +1,5 @@
 //! Bounded in-process memos for the runner's derived artifacts
-//! (compiled binaries, captured traces, machine checkpoints).
+//! (compiled binaries, captured traces).
 
 use std::collections::HashMap;
 use std::hash::Hash;

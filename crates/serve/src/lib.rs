@@ -1,8 +1,8 @@
 //! # ppsim-serve — the persistent experiment service
 //!
 //! Batch `ppsim` rebuilds its warm state — the on-disk result cache,
-//! the compile/trace/checkpoint memos — on every invocation and throws
-//! it away at exit. This crate lifts that state into a long-running
+//! the compile and trace memos — on every invocation and throws it
+//! away at exit. This crate lifts that state into a long-running
 //! daemon: `ppsim serve` owns one [`Runner`](ppsim_core::Runner) for
 //! its lifetime and answers experiment requests over a newline-
 //! delimited JSON protocol (see [`protocol`]); `ppsim submit` is the
@@ -18,8 +18,9 @@
 //! * **Dedup** — concurrent identical requests coalesce onto one
 //!   computation (cells by canonical job key, grid ops by op key).
 //! * **Bounded state** — the disk cache is size-capped (LRU), the
-//!   in-process memos flush at fixed caps, handler threads are bounded
-//!   by `--max-clients`, and cold simulations by `--jobs`.
+//!   in-process memos evict their least recently used entry at fixed
+//!   caps, handler threads are bounded by `--max-clients`, and cold
+//!   simulations by `--jobs`.
 
 pub mod client;
 pub mod protocol;

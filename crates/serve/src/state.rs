@@ -3,9 +3,9 @@
 //!
 //! State ownership (DESIGN.md §8): exactly one [`Runner`] lives for the
 //! daemon's lifetime and owns every piece of warm state — the on-disk
-//! result cache, the compile memo, the per-(binary, budget) trace memo
-//! and the per-(binary, window) checkpoint memo. Handler threads never
-//! hold state of their own; they borrow `ServerState` and stream events.
+//! result cache, the compile memo and the per-(binary, budget) trace
+//! memo. Handler threads never hold state of their own; they borrow
+//! `ServerState` and stream events.
 //!
 //! Scheduling is two-lane so cheap requests never queue behind cold
 //! simulations:

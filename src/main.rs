@@ -4,7 +4,7 @@
 //! ppsim run <file.s> [--scheme S] [--commits N] [--trace-events N] [--tiny]
 //! ppsim compile <benchmark> [--ifconv] [--listing]
 //! ppsim bench [benchmark] [--only a,b] [--commits N] [--json P] [--repeat N] [--phases] [--sample [SPEC]] [--trace FILE]
-//! ppsim suite [--jobs N] [--no-cache] [--no-replay] [--cache-dir P] [--json P] [--commits N] [--only a,b] [--sample [SPEC]]
+//! ppsim suite [--jobs N] [--no-cache] [--cache-dir P] [--json P] [--commits N] [--only a,b] [--sample [SPEC]]
 //! ppsim check [--seed S] [--iters N] [--fault F] [--dump DIR] [--jobs N] [--no-cache] [--sample-epsilon E] [--replay FILE.pisa]
 //! ppsim trace export <benchmark> <out.pptrace> [--commits N] [--ifconv] [--note S]
 //! ppsim trace import <file> [--commits N] [--top N] [--name S] [--json P] [--jobs N] [--no-cache] [--cache-dir P]
@@ -28,8 +28,9 @@
 //! path, reporting misprediction error and wall-clock speedup; with
 //! `--trace FILE`, solo-vs-fused identity over an imported stream) —
 //! `suite` regenerates the paper's full evaluation through the parallel
-//! runner, one pool job per grid cell (with `--sample`, through
-//! checkpointed sample windows),
+//! runner, one pool job per grid cell, each replaying the functional
+//! stream captured once for its binary (with `--sample`, one window of a
+//! capture spanning the schedule),
 //! `check` fuzzes the timing model against the architectural emulator
 //! (the differential cosimulation oracle; `--sample-epsilon` adds the
 //! sampled-simulation invariants, `--replay` re-runs one dumped repro
@@ -76,7 +77,7 @@ fn schemes_help() -> String {
 fn usage_text() -> String {
     let schemes = schemes_help();
     format!(
-        "usage:\n  ppsim run <file.s> [--scheme {schemes}] [--commits N] [--trace-events N] [--tiny]\n  ppsim compile <benchmark> [--ifconv] [--listing]\n  ppsim bench [benchmark] [--only a,b] [--commits N] [--json PATH] [--repeat N] [--phases] [--sample [SPEC]] [--trace FILE]\n  ppsim suite [--jobs N] [--no-cache] [--no-replay] [--cache-dir PATH] [--json PATH] [--commits N] [--only a,b] [--sample [SPEC]]\n  ppsim check [--seed S] [--iters N] [--fault {FAULTS}] [--dump DIR] [--jobs N] [--no-cache] [--cache-dir PATH] [--sample-epsilon E] [--replay FILE.pisa]\n  ppsim trace export <benchmark> <out.pptrace> [--commits N] [--ifconv] [--note S]\n  ppsim trace import <file> [--commits N] [--top N] [--name S] [--json PATH] [--jobs N] [--no-cache] [--cache-dir PATH]\n  ppsim trace info <file.pptrace>\n  ppsim serve [--addr A] [--jobs N] [--max-clients N] [--cache-dir PATH] [--cache-max-bytes B]\n  ppsim submit [request.json|-] [--addr A] [--raw PATH] [--quiet]\n  ppsim cache stats|clear [--cache-dir PATH]\n  ppsim list\n(SPEC = skip:warmup:measure:stride:count; bare --sample = {}; trace import\n accepts .pptrace files and CBP-style `<ip> <taken>` branch logs)",
+        "usage:\n  ppsim run <file.s> [--scheme {schemes}] [--commits N] [--trace-events N] [--tiny]\n  ppsim compile <benchmark> [--ifconv] [--listing]\n  ppsim bench [benchmark] [--only a,b] [--commits N] [--json PATH] [--repeat N] [--phases] [--sample [SPEC]] [--trace FILE]\n  ppsim suite [--jobs N] [--no-cache] [--cache-dir PATH] [--json PATH] [--commits N] [--only a,b] [--sample [SPEC]]\n  ppsim check [--seed S] [--iters N] [--fault {FAULTS}] [--dump DIR] [--jobs N] [--no-cache] [--cache-dir PATH] [--sample-epsilon E] [--replay FILE.pisa]\n  ppsim trace export <benchmark> <out.pptrace> [--commits N] [--ifconv] [--note S]\n  ppsim trace import <file> [--commits N] [--top N] [--name S] [--json PATH] [--jobs N] [--no-cache] [--cache-dir PATH]\n  ppsim trace info <file.pptrace>\n  ppsim serve [--addr A] [--jobs N] [--max-clients N] [--cache-dir PATH] [--cache-max-bytes B]\n  ppsim submit [request.json|-] [--addr A] [--raw PATH] [--quiet]\n  ppsim cache stats|clear [--cache-dir PATH]\n  ppsim list\n(SPEC = skip:warmup:measure:stride:count; bare --sample = {}; trace import\n accepts .pptrace files and CBP-style `<ip> <taken>` branch logs)",
         SampleSpec::default_spec().canon()
     )
 }
@@ -111,7 +112,6 @@ const RUNNER_FLAGS: &[(&str, Arity)] = &[
     ("--no-cache", Arity::Switch),
     ("--cache-dir", Arity::Value),
     ("--cache-max-bytes", Arity::Value),
-    ("--no-replay", Arity::Switch),
 ];
 
 /// Strict argument validation: every flag must appear in `spec`, and at

@@ -89,6 +89,11 @@ fn every_subcommand_rejects_unknown_flags() {
         &["submit", "--definitely-bogus"],
         &["cache", "stats", "--definitely-bogus"],
         &["list", "--definitely-bogus"],
+        // Replay is the runner's only engine; there is no switch for it.
+        &["suite", "--no-replay"],
+        &["check", "--no-replay"],
+        &["serve", "--no-replay"],
+        &["trace", "import", "log.txt", "--no-replay"],
     ];
     for args in cases {
         let out = ppsim(args);

@@ -1,18 +1,21 @@
-//! End-to-end bit-identity of the trace-replay engine (the acceptance
-//! criterion of the capture-once/replay-many subsystem):
+//! End-to-end checks of the trace-replay engine, the runner's only way of
+//! driving a cell:
 //!
-//! 1. **Report identity** — a full suite sweep through trace replay (the
-//!    default) emits byte-identical `full_report_json` to the inline
-//!    `--no-replay` path.
-//! 2. **Cell identity** — every `SchemeKind` × `PredicationModel` cell
-//!    (with the shadow predictor attached) produces equal statistics on
-//!    both paths, on both compile modes.
-//! 3. **Telemetry** — the replay runner reports shared captures: far
-//!    fewer captures than jobs, with the memo hit rate accounting for
-//!    the rest.
+//! 1. **Cell identity** — every `SchemeSpec` × `PredicationModel` cell
+//!    (with the shadow predictor attached) produces equal statistics from
+//!    an inline `Machine` and from a cursor over a capture of the same
+//!    binary, on both compile modes. The check oracle's lockstep cell
+//!    relies on this equivalence.
+//! 2. **Telemetry** — the runner reports shared captures: far fewer
+//!    captures than jobs, with the memo hit rate accounting for the rest.
 
-use ppsim::core::{experiments, ExperimentConfig, Job, Runner, RunnerOptions};
-use ppsim::pipeline::{CoreConfig, PredicationModel, SchemeKind};
+use std::sync::Arc;
+
+use ppsim::compiler::{compile, spec2000_suite, CompileOptions};
+use ppsim::core::{experiments, ExperimentConfig, Runner, RunnerOptions};
+use ppsim::isa::{Machine, TraceBuffer, TraceCursor};
+use ppsim::pipeline::{CoreConfig, PredicationModel, SimOptions};
+use ppsim::predictors::SchemeSpec;
 
 fn tiny_cfg() -> ExperimentConfig {
     ExperimentConfig {
@@ -23,67 +26,41 @@ fn tiny_cfg() -> ExperimentConfig {
     }
 }
 
-fn runner(replay: bool) -> Runner {
-    Runner::new(RunnerOptions {
-        jobs: 4,
-        cache: false,
-        replay,
-        ..RunnerOptions::default()
-    })
-}
-
-#[test]
-fn full_report_is_byte_identical_under_replay() {
-    let cfg = tiny_cfg();
-    let replayed = runner(true);
-    let inline = runner(false);
-    let a = experiments::full_report_json(&replayed, &cfg).to_string();
-    let b = experiments::full_report_json(&inline, &cfg).to_string();
-    assert!(!a.is_empty());
-    assert_eq!(a, b, "replay must never change report bytes");
-    assert!(
-        replayed.telemetry().captures > 0,
-        "the replay runner actually captured traces"
-    );
-    assert_eq!(
-        inline.telemetry().captures,
-        0,
-        "the inline runner never captures"
-    );
-}
-
 #[test]
 fn every_cell_matches_inline_statistics() {
+    const COMMITS: u64 = 10_000;
+    let suite = spec2000_suite();
+    let vpr = suite.iter().find(|s| s.name == "vpr").unwrap();
     for ifconv in [false, true] {
-        let jobs: Vec<Job> = SchemeKind::ALL
-            .into_iter()
-            .flat_map(|scheme| {
-                [PredicationModel::Cmov, PredicationModel::Selective]
-                    .into_iter()
-                    .map(move |predication| {
-                        let mut j = Job::new(
-                            "vpr",
-                            ifconv,
-                            scheme,
-                            predication,
-                            10_000,
-                            50_000,
-                            CoreConfig::paper(),
-                        );
-                        j.shadow = true;
-                        j
-                    })
-            })
-            .collect();
-        let a = runner(true).run_grid(&jobs);
-        let b = runner(false).run_grid(&jobs);
-        for ((ra, rb), job) in a.iter().zip(&b).zip(&jobs) {
-            assert_eq!(
-                ra.stats,
-                rb.stats,
-                "cell {} (ifconv={ifconv}) diverged under replay",
-                job.label()
-            );
+        let mut copts = if ifconv {
+            CompileOptions::with_ifconv()
+        } else {
+            CompileOptions::no_ifconv()
+        };
+        copts.profile_steps = 50_000;
+        let program = compile(vpr, &copts).unwrap().program;
+        let trace = Arc::new(TraceBuffer::capture(&program, COMMITS).unwrap());
+        for scheme in SchemeSpec::ALL {
+            for predication in [PredicationModel::Cmov, PredicationModel::Selective] {
+                let opts = SimOptions::new(scheme, predication)
+                    .core(CoreConfig::paper())
+                    .shadow(true);
+                let inline = opts
+                    .build_source(Machine::new(&program))
+                    .unwrap()
+                    .run(COMMITS);
+                let replay = opts
+                    .build_source(TraceCursor::new(Arc::clone(&trace)))
+                    .unwrap()
+                    .run(COMMITS);
+                assert!(inline.stats.committed >= COMMITS);
+                assert_eq!(
+                    inline.stats,
+                    replay.stats,
+                    "cell {}/{predication:?} (ifconv={ifconv}) diverged under replay",
+                    scheme.name()
+                );
+            }
         }
     }
 }
@@ -91,7 +68,11 @@ fn every_cell_matches_inline_statistics() {
 #[test]
 fn replay_telemetry_reports_shared_captures() {
     let cfg = tiny_cfg();
-    let r = runner(true);
+    let r = Runner::new(RunnerOptions {
+        jobs: 4,
+        cache: false,
+        ..RunnerOptions::default()
+    });
     experiments::full_report_json(&r, &cfg);
     let t = r.telemetry();
     // Two benchmarks, two compile modes, one commit budget → a handful of
