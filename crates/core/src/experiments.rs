@@ -8,6 +8,9 @@
 //! so reports are byte-identical regardless of worker count or cache
 //! state.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
 use ppsim_compiler::{WorkloadClass, WorkloadSpec};
 use ppsim_pipeline::{PredicationModel, SchemeKind, SimStats};
 use ppsim_predictors::sizing;
@@ -463,46 +466,76 @@ struct PlanCell {
 /// cells) assemble from the same simulation instead of re-running it.
 #[derive(Clone, Debug, Default)]
 pub struct PlanResults {
-    cells: std::collections::HashMap<String, PlanCell>,
+    /// Each unique cell's position in `cells`, by canonical key.
+    index: HashMap<String, usize>,
+    cells: Vec<PlanCell>,
+    /// Cells this collection simulated rather than read from the cache.
+    simulated: usize,
 }
 
 impl PlanResults {
     /// Executes `jobs` through `runner` — deduplicated by canonical key,
     /// sampled or full per `cfg.sample` — and indexes the outcomes.
     pub fn collect(runner: &Runner, cfg: &ExperimentConfig, jobs: &[Job]) -> PlanResults {
+        PlanResults::collect_reporting(runner, cfg, jobs, &|_, _| {})
+    }
+
+    /// [`PlanResults::collect`] as one grid run: each unique cell's
+    /// cache entry is probed once, the misses run in one pool run, and
+    /// `progress(resolved, total)` reports as
+    /// [`Runner::run_grid_reporting`] does — over unique cells, or over
+    /// their window jobs when `cfg.sample` is set.
+    pub fn collect_reporting(
+        runner: &Runner,
+        cfg: &ExperimentConfig,
+        jobs: &[Job],
+        progress: &(dyn Fn(u64, u64) + Sync),
+    ) -> PlanResults {
+        // One canon per job serves as both the dedup key and the index.
+        let mut index = HashMap::with_capacity(jobs.len());
         let mut unique: Vec<Job> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
         for j in jobs {
-            if seen.insert(j.canon()) {
+            if let Entry::Vacant(slot) = index.entry(j.canon()) {
+                slot.insert(unique.len());
                 unique.push(j.clone());
             }
         }
-        let mut cells = std::collections::HashMap::with_capacity(unique.len());
-        match cfg.sample {
-            Some(spec) => {
-                for (job, r) in unique.iter().zip(runner.run_grid_sampled(&unique, spec)) {
-                    cells.insert(
-                        job.canon(),
-                        PlanCell {
-                            stats: r.aggregate.stats,
-                            windows: r.samples.into_iter().map(|w| w.stats).collect(),
-                        },
-                    );
-                }
-            }
-            None => {
-                for (job, r) in unique.iter().zip(runner.run_grid(&unique)) {
-                    cells.insert(
-                        job.canon(),
-                        PlanCell {
-                            stats: r.stats,
-                            windows: Vec::new(),
-                        },
-                    );
-                }
-            }
+        let mut simulated = 0;
+        let cells = match cfg.sample {
+            Some(spec) => runner
+                .run_grid_sampled_reporting(&unique, spec, progress)
+                .into_iter()
+                .map(|r| {
+                    simulated += usize::from(!r.aggregate.from_cache);
+                    PlanCell {
+                        stats: r.aggregate.stats,
+                        windows: r.samples.into_iter().map(|w| w.stats).collect(),
+                    }
+                })
+                .collect(),
+            None => runner
+                .run_grid_reporting(&unique, progress)
+                .into_iter()
+                .map(|r| {
+                    simulated += usize::from(!r.from_cache);
+                    PlanCell {
+                        stats: r.stats,
+                        windows: Vec::new(),
+                    }
+                })
+                .collect(),
+        };
+        PlanResults {
+            index,
+            cells,
+            simulated,
         }
-        PlanResults { cells }
+    }
+
+    /// Cells this collection simulated: 0 when every cell came from the
+    /// disk cache. A sampled cell counts when any of its windows did.
+    pub fn simulated(&self) -> usize {
+        self.simulated
     }
 
     /// Number of distinct cells executed.
@@ -516,9 +549,11 @@ impl PlanResults {
     }
 
     fn cell(&self, job: &Job) -> &PlanCell {
-        self.cells
-            .get(&job.canon())
-            .unwrap_or_else(|| panic!("plan results missing cell {}", job.canon()))
+        let canon = job.canon();
+        match self.index.get(&canon) {
+            Some(&i) => &self.cells[i],
+            None => panic!("plan results missing cell {canon}"),
+        }
     }
 
     /// The collected aggregate statistics of one cell — the read-side of
@@ -540,19 +575,21 @@ impl PlanResults {
         suite(cfg)
             .iter()
             .map(|spec| {
-                let jobs: Vec<Job> = schemes
+                let cells: Vec<&PlanCell> = schemes
                     .iter()
-                    .map(|&(scheme, predication, shadow)| Job {
-                        shadow,
-                        ..cell(cfg, spec.name, ifconv, scheme, predication)
+                    .map(|&(scheme, predication, shadow)| {
+                        self.cell(&Job {
+                            shadow,
+                            ..cell(cfg, spec.name, ifconv, scheme, predication)
+                        })
                     })
                     .collect();
                 BenchRow {
                     name: spec.name,
                     class: spec.class,
-                    runs: jobs.iter().map(|j| self.cell(j).stats.clone()).collect(),
+                    runs: cells.iter().map(|c| c.stats.clone()).collect(),
                     samples: if cfg.sample.is_some() {
-                        jobs.iter().map(|j| self.cell(j).windows.clone()).collect()
+                        cells.iter().map(|c| c.windows.clone()).collect()
                     } else {
                         Vec::new()
                     },

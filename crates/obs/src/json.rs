@@ -9,7 +9,7 @@
 //! so tests can round-trip emitted artifacts and assert well-formedness
 //! without external tooling.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Numbers are split into `Int` (emitted exactly) and
 /// `Num` (floating point) so counters survive round trips bit-exactly.
@@ -107,13 +107,13 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
+            Json::Int(i) => write!(out, "{i}").expect("formatting into a String"),
             Json::Num(n) => {
                 if n.is_finite() {
                     // `{:?}` is the shortest round-trippable rendering
                     // and always keeps a fractional part (or exponent),
                     // so whole-number floats stay floats on re-parse.
-                    out.push_str(&format!("{n:?}"));
+                    write!(out, "{n:?}").expect("formatting into a String");
                 } else {
                     out.push_str("null");
                 }
@@ -211,19 +211,28 @@ impl From<Vec<Json>> for Json {
     }
 }
 
+/// Writes `s` as a JSON string literal. Runs of bytes that need no
+/// escape are copied in one call each; every escaped byte is ASCII, so
+/// the run boundaries always fall on `char` boundaries.
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => write!(out, "\\u{b:04x}").expect("formatting into a String"),
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -477,6 +486,25 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn escapes_and_numbers_render_byte_for_byte() {
+        let j = Json::Arr(vec![
+            Json::from("plain"),
+            Json::from("q\"b\\n\nr\rt\tc\u{1}\u{1f}é—end"),
+            Json::from(""),
+            Json::Int(-42),
+            Json::Num(1.0),
+            Json::Num(0.1 + 0.2),
+            Json::Num(1e-7),
+            Json::Num(-0.0),
+        ]);
+        assert_eq!(
+            j.to_string(),
+            r#"["plain","q\"b\\n\nr\rt\tc\u0001\u001fé—end","",-42,1.0,0.30000000000000004,1e-7,-0.0]"#
+        );
+        assert_eq!(Json::parse(&j.to_string()).unwrap(), j);
     }
 
     #[test]

@@ -131,8 +131,11 @@ impl DiskCache {
         &self.dir
     }
 
-    fn entry_path(&self, job: &Job) -> PathBuf {
-        self.dir.join(format!("{}.result", job.hash_hex()))
+    /// The entry file of the job whose [`Job::canon`] is `canon`, named
+    /// by its [`Job::hash_hex`].
+    fn entry_path(&self, canon: &str) -> PathBuf {
+        self.dir
+            .join(format!("{}.result", hex64(fnv1a64(canon.as_bytes()))))
     }
 
     /// Loads the result for `job`, or `None` on any kind of miss
@@ -141,9 +144,11 @@ impl DiskCache {
     /// recomputes and overwrites them. A hit refreshes the entry's
     /// recency.
     pub fn load(&self, job: &Job) -> Option<JobResult> {
-        let path = self.entry_path(job);
+        // One canon names the file and checks the stored echo.
+        let canon = job.canon();
+        let path = self.entry_path(&canon);
         let text = fs::read_to_string(&path).ok()?;
-        let result = parse_entry(&text, job)?;
+        let result = parse_entry(&text, &canon)?;
         // Refresh recency. A failed touch only degrades the eviction
         // order, never correctness.
         let _ = fs::write(path.with_extension("touch"), b"");
@@ -153,11 +158,12 @@ impl DiskCache {
     /// Stores the result for `job` atomically (`.tmp` + rename), then
     /// enforces the byte budget if one is set.
     pub fn store(&self, job: &Job, result: &JobResult) -> std::io::Result<()> {
-        let path = self.entry_path(job);
+        let canon = job.canon();
+        let path = self.entry_path(&canon);
         let tmp = path.with_extension("tmp");
         {
             let mut f = fs::File::create(&tmp)?;
-            f.write_all(render_entry(job, result).as_bytes())?;
+            f.write_all(render_entry(&canon, result).as_bytes())?;
             f.sync_all()?;
         }
         fs::rename(&tmp, &path)?;
@@ -252,11 +258,12 @@ impl DiskCache {
     }
 }
 
-fn render_entry(job: &Job, result: &JobResult) -> String {
+/// Renders the entry of the job whose [`Job::canon`] is `canon`.
+fn render_entry(canon: &str, result: &JobResult) -> String {
     let mut s = String::with_capacity(2048);
     s.push_str(HEADER);
     s.push('\n');
-    for line in job.canon().lines() {
+    for line in canon.lines() {
         s.push_str("job.");
         s.push_str(line);
         s.push('\n');
@@ -300,7 +307,8 @@ fn checked_body(text: &str) -> Option<&str> {
     (sum == hex64(fnv1a64(body.as_bytes()))).then_some(body)
 }
 
-fn parse_entry(text: &str, job: &Job) -> Option<JobResult> {
+/// Parses an entry stored for the job whose [`Job::canon`] is `canon`.
+fn parse_entry(text: &str, canon: &str) -> Option<JobResult> {
     let mut lines = checked_body(text)?.lines();
     if lines.next()? != HEADER {
         return None;
@@ -308,7 +316,6 @@ fn parse_entry(text: &str, job: &Job) -> Option<JobResult> {
     // Verify the stored canon matches this job's, line for line. A
     // mismatch means the hash collided or an input axis changed meaning;
     // either way the entry is stale.
-    let canon = job.canon();
     let mut canon_lines = canon.lines();
     let mut rest = lines.peekable();
     while let Some(line) = rest.peek() {
@@ -661,8 +668,9 @@ mod tests {
         let dir = temp_dir("stale");
         let cache = DiskCache::open(&dir).unwrap();
         let j = job();
-        let text =
-            resum(&render_entry(&j, &result()).replace("job.bench=gzip", "job.bench=vortex"));
+        let text = resum(
+            &render_entry(&j.canon(), &result()).replace("job.bench=gzip", "job.bench=vortex"),
+        );
         fs::write(cache.dir().join(format!("{}.result", j.hash_hex())), text).unwrap();
         assert!(cache.load(&j).is_none());
         let _ = fs::remove_dir_all(&dir);
@@ -679,7 +687,7 @@ mod tests {
         let cache = DiskCache::open(&dir).unwrap();
         let j = job();
         let path = cache.dir().join(format!("{}.result", j.hash_hex()));
-        let current = render_entry(&j, &result());
+        let current = render_entry(&j.canon(), &result());
         assert!(current.starts_with("ppsim-cache v8\n"), "{current}");
         for stale in ["v3", "v6", "v7", "v9"].map(|v| format!("ppsim-cache {v}")) {
             fs::write(&path, resum(&current.replacen(HEADER, &stale, 1))).unwrap();
@@ -706,7 +714,7 @@ mod tests {
         let cache = DiskCache::open(&dir).unwrap();
         let j = job();
         let path = cache.dir().join(format!("{}.result", j.hash_hex()));
-        let stored = render_entry(&j, &result()).into_bytes();
+        let stored = render_entry(&j.canon(), &result()).into_bytes();
         fs::write(&path, &stored).unwrap();
         assert!(cache.load(&j).is_some(), "the untouched entry hits");
         let mut mutant = stored.clone();
@@ -730,7 +738,7 @@ mod tests {
         let dir = temp_dir("trunc");
         let cache = DiskCache::open(&dir).unwrap();
         let j = job();
-        let full = render_entry(&j, &result());
+        let full = render_entry(&j.canon(), &result());
         let cut = &full[..full.len() - 20];
         fs::write(cache.dir().join(format!("{}.result", j.hash_hex())), cut).unwrap();
         assert!(cache.load(&j).is_none());

@@ -442,6 +442,19 @@ impl Runner {
     /// report rendered from it — is independent of worker count and
     /// scheduling.
     pub fn run_grid(&self, jobs: &[Job]) -> Vec<JobResult> {
+        self.run_grid_reporting(jobs, &|_, _| {})
+    }
+
+    /// [`Runner::run_grid`], reporting `progress(resolved, total)` over
+    /// the grid's cells: once after the cache probe, with the hits
+    /// resolved, then once per simulated cell as the pool finishes it.
+    /// Workers count and report under one lock, so `resolved` never goes
+    /// backwards and the last report reads `resolved == total`.
+    pub fn run_grid_reporting(
+        &self,
+        jobs: &[Job],
+        progress: &(dyn Fn(u64, u64) + Sync),
+    ) -> Vec<JobResult> {
         // 1. Serial cache probe.
         let mut slots: Vec<Option<JobResult>> = match &self.cache {
             Some(cache) => jobs.iter().map(|j| cache.load(j)).collect(),
@@ -450,8 +463,16 @@ impl Runner {
 
         // 2. Simulate the misses, one cell per pool job.
         let order = Self::stream_order(jobs, &slots);
+        let total = jobs.len() as u64;
+        let hits = total - order.len() as u64;
+        progress(hits, total);
+        let resolved = Mutex::new(hits);
         let fresh = pool::run_indexed(order.len(), self.opts.effective_jobs(), |k| {
-            self.execute(&jobs[order[k]])
+            let result = self.execute(&jobs[order[k]]);
+            let mut resolved = resolved.lock().expect("progress lock poisoned");
+            *resolved += 1;
+            progress(*resolved, total);
+            result
         });
 
         // 3. Store fresh results under their canonical keys and fill
@@ -518,6 +539,18 @@ impl Runner {
     /// Cells carrying their own `sample` slice are rejected — the
     /// schedule is this call's to assign.
     pub fn run_grid_sampled(&self, jobs: &[Job], spec: SampleSpec) -> Vec<SampledResult> {
+        self.run_grid_sampled_reporting(jobs, spec, &|_, _| {})
+    }
+
+    /// [`Runner::run_grid_sampled`], reporting progress as
+    /// [`Runner::run_grid_reporting`] does, counted over window jobs
+    /// (`spec.count` per cell).
+    pub fn run_grid_sampled_reporting(
+        &self,
+        jobs: &[Job],
+        spec: SampleSpec,
+        progress: &(dyn Fn(u64, u64) + Sync),
+    ) -> Vec<SampledResult> {
         assert!(
             jobs.iter().all(|j| j.sample.is_none()),
             "sampled grids are expanded here; cells must not pre-assign windows"
@@ -531,7 +564,7 @@ impl Runner {
                 })
             })
             .collect();
-        let results = self.run_grid(&expanded);
+        let results = self.run_grid_reporting(&expanded, progress);
         results
             .chunks(spec.count as usize)
             .map(|samples| {
@@ -929,6 +962,31 @@ mod tests {
         assert_eq!(hit.stats, fresh.stats, "probe replays the stored stats");
         // Probing never counts as a runner job.
         assert_eq!(r.telemetry().jobs_total, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn grid_progress_reports_hits_then_each_simulated_cell() {
+        let dir = std::env::temp_dir().join(format!("ppsim-progress-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let r = Runner::new(RunnerOptions {
+            jobs: 2,
+            cache_dir: Some(dir.clone()),
+            ..RunnerOptions::default()
+        });
+        let reports = |grid: &[Job]| {
+            let seen = Mutex::new(Vec::new());
+            r.run_grid_reporting(grid, &|done, total| {
+                seen.lock().unwrap().push((done, total))
+            });
+            seen.into_inner().unwrap()
+        };
+        let grid: Vec<Job> = SchemeKind::ALL[..3].iter().map(|&s| tiny(s)).collect();
+        assert_eq!(reports(&grid), [(0, 3), (1, 3), (2, 3), (3, 3)], "cold");
+        assert_eq!(reports(&grid), [(3, 3)], "a warm grid reports once");
+        let mut wider = grid.clone();
+        wider.push(tiny(SchemeKind::ALL[3]));
+        assert_eq!(reports(&wider), [(3, 4), (4, 4)], "hits resolve first");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

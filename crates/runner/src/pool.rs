@@ -13,10 +13,10 @@
 //! Running worker 0 on the caller is a memory decision as much as a
 //! thread-count one: every fresh thread that allocates gets its own glibc
 //! malloc arena, and arenas keep freed simulator state resident. A
-//! long-lived caller (the `ppsim serve` handler, prewarming a grid in
-//! `--jobs`-sized chunks) would otherwise run every chunk on fresh
-//! threads only; on the serve-mix benchmark that raised the daemon's
-//! peak RSS by 15–22%.
+//! long-lived caller (the `ppsim serve` handler, running one grid after
+//! another) would otherwise run every grid on fresh threads only; when
+//! the daemon still ran its grids in `--jobs`-sized chunks, that raised
+//! its peak RSS on the serve-mix benchmark by 15–22%.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

@@ -17,6 +17,16 @@
 //!           | {"event":"error","id":N,"message":M}
 //! ```
 //!
+//! Progress counts cells. A `cell` request sends one `progress` event
+//! with `done` 0 and `total` 1 before its answer. A `fig6a` or `report`
+//! request runs its grid in one pass: `total` is the grid's unique
+//! cells (its window jobs when the request is sampled) and `done` the
+//! cells resolved so far. The first event comes after the cache probe,
+//! with every hit resolved, then one follows each simulated cell, so
+//! `done` never decreases and the last event reads `done == total`. A
+//! warm grid sends exactly one progress event. `sweep` and `check`
+//! send none.
+//!
 //! Unknown fields are rejected, not ignored: a typoed field name would
 //! otherwise silently fall back to its default and return the *wrong
 //! cell* with a valid-looking result.
@@ -182,7 +192,7 @@ pub struct CheckRequest {
 pub enum Request {
     /// One grid cell.
     Cell(CellRequest),
-    /// The Figure 6a comparison (prewarms the whole grid).
+    /// The Figure 6a comparison (the whole grid, in one pass).
     Fig6a(GridRequest),
     /// The consolidated suite report, byte-identical to `ppsim suite`.
     Report(GridRequest),
@@ -476,6 +486,29 @@ pub fn result(id: u64, op: &str, warm: bool, coalesced: bool, data: Json) -> Jso
         .field("data", data)
 }
 
+/// The line of [`result`]`(id, op, warm, coalesced, data)` with `data`
+/// given as rendered JSON text and written into the envelope verbatim,
+/// so an answer is never parsed and re-rendered on its way out. The
+/// bytes equal the rendered event's because [`Json`]'s rendering of
+/// parsed [`Json`] text is that text.
+pub fn result_line(id: u64, op: &str, warm: bool, coalesced: bool, data: &str) -> String {
+    let head = Json::obj()
+        .field("event", "result")
+        .field("id", id)
+        .field("op", op)
+        .field("warm", warm)
+        .field("coalesced", coalesced)
+        .to_string();
+    // Reopen the rendered head object to append the `data` field; the
+    // spare byte is for the caller's line terminator.
+    let mut line = String::with_capacity(head.len() + data.len() + 9);
+    line.push_str(&head[..head.len() - 1]);
+    line.push_str(",\"data\":");
+    line.push_str(data);
+    line.push('}');
+    line
+}
+
 /// The terminal `error` event for request `id` (0 when the line never
 /// parsed far enough to get a sequence number).
 pub fn error(id: u64, message: &str) -> Json {
@@ -582,6 +615,64 @@ mod tests {
         let Request::Fig6a(g) = r else { panic!() };
         assert_eq!(g.sample.unwrap().count, 2);
         assert!(parse_request(r#"{"op":"fig6a","sample":"1:2"}"#).is_err());
+    }
+
+    /// The verbatim envelope is byte-identical to parsing the `data`
+    /// text and rendering the event around the parsed value, for the
+    /// answers of every op shape.
+    #[test]
+    fn result_line_equals_the_reparsed_event() {
+        use crate::{ServeOptions, ServerState};
+        let dir = std::env::temp_dir().join(format!("ppsim-result-line-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let state = ServerState::new(&ServeOptions {
+            runner: ppsim_core::RunnerOptions {
+                jobs: 2,
+                cache_dir: Some(dir.clone()),
+                ..ppsim_core::RunnerOptions::default()
+            },
+            ..ServeOptions::default()
+        });
+        let cell = |line: &str| match parse_request(line).unwrap() {
+            Request::Cell(c) => c,
+            other => panic!("{other:?}"),
+        };
+        let grid = GridRequest {
+            commits: 3_000,
+            profile_steps: 20_000,
+            only: vec!["gzip".to_string()],
+            sample: None,
+        };
+        let full = cell(r#"{"op":"cell","bench":"gzip","scheme":"predicate","commits":3000}"#);
+        let sampled =
+            cell(r#"{"op":"cell","bench":"gzip","scheme":"tage","sample":"1000:500:1000:2000:2"}"#);
+        let answers = [
+            ("cell", state.run_cell(&full.job()).unwrap().0),
+            (
+                "cell",
+                state
+                    .run_cell_sampled(&sampled.job(), sampled.sample.unwrap())
+                    .unwrap()
+                    .0,
+            ),
+            ("fig6a", state.run_fig6a(&grid, |_, _| {}).unwrap().0),
+            ("report", state.run_report(&grid, |_, _| {}).unwrap().0),
+            ("stats", state.stats_json().to_string()),
+        ];
+        // The report's text is multi-line, so its `data` carries escapes.
+        assert!(answers[3].1.contains(r#"\n"#));
+        assert!(answers[1].1.contains(r#""windows":["#));
+        for (op, data) in &answers {
+            for (warm, coalesced) in [(false, false), (true, false), (false, true)] {
+                let parsed = Json::parse(data).unwrap();
+                assert_eq!(
+                    result_line(42, op, warm, coalesced, data),
+                    result(42, op, warm, coalesced, parsed).to_string(),
+                    "{op}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

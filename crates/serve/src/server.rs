@@ -132,7 +132,14 @@ fn refuse(mut stream: TcpStream) {
 
 /// Writes one event line; `false` means the client is gone.
 fn send(stream: &mut TcpStream, event: &Json) -> bool {
-    writeln!(stream, "{event}").is_ok()
+    send_line(stream, event.to_string())
+}
+
+/// Terminates `line` and writes it in one call (one segment under
+/// `TCP_NODELAY`); `false` means the client is gone.
+fn send_line(stream: &mut TcpStream, mut line: String) -> bool {
+    line.push('\n');
+    stream.write_all(line.as_bytes()).is_ok()
 }
 
 /// Reads lines and serves requests until the client disconnects, a
@@ -237,11 +244,11 @@ fn serve_line(stream: &mut TcpStream, state: &ServerState, id: u64, line: &str) 
     match outcome {
         Ok((data, provenance)) => {
             state.count(|c| c.results += 1);
-            // The data text re-parses by construction (it was emitted by
-            // our own Json); embed it as a raw object, not a string.
-            let data = Json::parse(&data).unwrap_or(Json::Null);
-            let event = protocol::result(id, op, provenance.warm(), provenance.coalesced(), data);
-            let alive = send(stream, &event);
+            // The data text is our own Json's rendering; the envelope
+            // wraps it verbatim.
+            let line =
+                protocol::result_line(id, op, provenance.warm(), provenance.coalesced(), &data);
+            let alive = send_line(stream, line);
             alive && !matches!(request, Request::Shutdown)
         }
         Err(e) => {
@@ -252,14 +259,16 @@ fn serve_line(stream: &mut TcpStream, state: &ServerState, id: u64, line: &str) 
 }
 
 /// A progress callback that streams `progress` events for a grid op.
-/// Write failures are swallowed: a vanished client must not abort the
-/// shared computation other clients may be coalesced onto.
+/// It is `Send` because the grid's pool workers report through it (one
+/// at a time, behind the grid op's lock). Write failures are swallowed:
+/// a vanished client must not abort the shared computation other
+/// clients may be coalesced onto.
 fn progress_cb<'a>(
     stream: &'a mut TcpStream,
     id: u64,
     stage: &'a str,
-) -> impl FnMut(u64, u64) + 'a {
+) -> impl FnMut(u64, u64) + Send + 'a {
     move |done, total| {
-        let _ = writeln!(stream, "{}", protocol::progress(id, stage, done, total));
+        send(stream, &protocol::progress(id, stage, done, total));
     }
 }

@@ -122,9 +122,12 @@ impl Counters {
 /// never inside its `data`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Provenance {
-    /// Simulated now, by this request.
+    /// Simulated now, by this request: a cell, or a `fig6a`/`report`
+    /// grid that simulated at least one cell (`sweep` and `check` always
+    /// answer cold).
     Cold,
-    /// Replayed from the disk cache.
+    /// Replayed from the disk cache: a cell hit, or a `fig6a`/`report`
+    /// grid whose every cell was a hit.
     Warm,
     /// Joined another client's in-flight run.
     Coalesced,
@@ -150,8 +153,9 @@ pub struct ServerState {
     /// Cold-lane coalescing: one flight per canonical cell, holding the
     /// rendered result `data` text.
     cells: Inflight<String, String>,
-    /// Op-level coalescing for grid-shaped requests.
-    grids: Inflight<String, String>,
+    /// Op-level coalescing for grid-shaped requests, holding the
+    /// rendered `data` text and how the leader produced it.
+    grids: Inflight<String, (String, Provenance)>,
     /// Cold-simulation permits (`--jobs` of them).
     sim_permits: Semaphore,
     /// Grid lane: serializes grid ops against each other.
@@ -291,10 +295,10 @@ impl ServerState {
     }
 
     /// Runs a grid-shaped op under the grid lane with op-level
-    /// coalescing. `render` executes with the lane held; progress
-    /// streaming happens inside it (the leader owns the connection that
-    /// asked first).
-    fn run_grid_op<F: FnOnce() -> String>(
+    /// coalescing. `render` executes with the lane held and says how its
+    /// answer was produced; progress streaming happens inside it (the
+    /// leader owns the connection that asked first).
+    fn run_grid_op<F: FnOnce() -> (String, Provenance)>(
         &self,
         key: String,
         render: F,
@@ -310,72 +314,88 @@ impl ServerState {
                 c.coalesced += 1;
             }
         });
-        let provenance = if led {
-            Provenance::Cold
+        let (data, provenance) = outcome?;
+        Ok((
+            data,
+            if led {
+                provenance
+            } else {
+                Provenance::Coalesced
+            },
+        ))
+    }
+
+    /// Collects a plan in one pass — one cache probe per unique cell, the
+    /// misses in one pool run — streaming `progress(resolved, total)`
+    /// from the pool's workers through a lock, and renders the answer.
+    /// The provenance is warm when no cell was simulated.
+    fn one_pass(
+        &self,
+        cfg: &ExperimentConfig,
+        spec: experiments::PlanSpec,
+        progress: impl FnMut(u64, u64) + Send,
+        render: impl FnOnce(&experiments::PlanResults) -> String,
+    ) -> (String, Provenance) {
+        let jobs = experiments::plan(cfg, spec);
+        let progress = Mutex::new(progress);
+        let results = experiments::PlanResults::collect_reporting(
+            &self.runner,
+            cfg,
+            &jobs,
+            &|done, total| (progress.lock().unwrap())(done, total),
+        );
+        let provenance = if results.simulated() == 0 {
+            Provenance::Warm
         } else {
-            Provenance::Coalesced
+            Provenance::Cold
         };
-        Ok((outcome?, provenance))
+        (render(&results), provenance)
     }
 
-    /// Prewarms `jobs` through the runner in chunks, reporting
-    /// completion counts to `progress` — so a grid op streams progress
-    /// while still rendering its final answer from uniform warm state.
-    fn prewarm(&self, cfg: &ExperimentConfig, jobs: &[Job], mut progress: impl FnMut(u64, u64)) {
-        let total = jobs.len() as u64;
-        let chunk = self.jobs.max(1);
-        let mut done = 0u64;
-        progress(0, total);
-        for batch in jobs.chunks(chunk) {
-            match cfg.sample {
-                Some(spec) => {
-                    self.runner.run_grid_sampled(batch, spec);
-                }
-                None => {
-                    self.runner.run_grid(batch);
-                }
-            }
-            done += batch.len() as u64;
-            progress(done, total);
-        }
-    }
-
-    /// The `fig6a` op: prewarm the grid, then render the comparison
-    /// JSON (identical bytes to the batch `fig6a` artifact).
+    /// The `fig6a` op: the grid in one pass (see `one_pass`), rendered
+    /// as the comparison JSON (identical bytes to the batch `fig6a`
+    /// artifact). `progress` hears `(resolved, total)` once after the
+    /// cache probe and once per simulated cell, so a warm grid reports
+    /// once.
     pub fn run_fig6a(
         &self,
         req: &GridRequest,
-        progress: impl FnMut(u64, u64),
+        progress: impl FnMut(u64, u64) + Send,
     ) -> Result<(String, Provenance), String> {
         let cfg = req.config();
-        self.run_grid_op(format!("fig6a|{}", req.canon()), move || {
-            let jobs = experiments::plan(&cfg, experiments::PlanSpec::Fig6a);
-            self.prewarm(&cfg, &jobs, progress);
-            let results = experiments::PlanResults::collect(&self.runner, &cfg, &jobs);
-            results.fig6a(&cfg).to_json().to_string()
+        self.run_grid_op(format!("fig6a|{}", req.canon()), || {
+            self.one_pass(&cfg, experiments::PlanSpec::Fig6a, progress, |results| {
+                results.fig6a(&cfg).to_json().to_string()
+            })
         })
     }
 
-    /// The `report` op: prewarm every suite job, then render the
-    /// consolidated report. `data.text` is byte-identical to `ppsim
-    /// suite` stdout for the same configuration; `data.json` is the
-    /// `--json` artifact's deterministic `data` object.
+    /// The `report` op: every suite cell in one pass (see `one_pass`;
+    /// `progress` reports as for [`ServerState::run_fig6a`]), rendered
+    /// as the consolidated report. `data.text` is byte-identical to
+    /// `ppsim suite` stdout for the same configuration; `data.json` is
+    /// the `--json` artifact's deterministic `data` object.
     pub fn run_report(
         &self,
         req: &GridRequest,
-        progress: impl FnMut(u64, u64),
+        progress: impl FnMut(u64, u64) + Send,
     ) -> Result<(String, Provenance), String> {
         let cfg = req.config();
-        self.run_grid_op(format!("report|{}", req.canon()), move || {
-            let jobs = experiments::plan(&cfg, experiments::PlanSpec::FullReport);
-            self.prewarm(&cfg, &jobs, progress);
-            // One collection serves both renderings — the text body and
-            // the JSON artifact assemble from the same simulations.
-            let results = experiments::PlanResults::collect(&self.runner, &cfg, &jobs);
-            Json::obj()
-                .field("text", results.report_text(&cfg).as_str())
-                .field("json", results.report_json(&cfg))
-                .to_string()
+        self.run_grid_op(format!("report|{}", req.canon()), || {
+            self.one_pass(
+                &cfg,
+                experiments::PlanSpec::FullReport,
+                progress,
+                |results| {
+                    // One collection serves both renderings — the text
+                    // body and the JSON artifact assemble from the same
+                    // results.
+                    Json::obj()
+                        .field("text", results.report_text(&cfg).as_str())
+                        .field("json", results.report_json(&cfg))
+                        .to_string()
+                },
+            )
         })
     }
 
@@ -390,16 +410,19 @@ impl ServerState {
             ifconv,
             req.grid.canon()
         );
-        self.run_grid_op(key, move || match kind {
-            SweepKind::Size => sweep::size_sweep(&self.runner, &cfg, ifconv)
-                .to_json()
-                .to_string(),
-            SweepKind::History => sweep::history_sweep(&self.runner, &cfg, ifconv)
-                .to_json()
-                .to_string(),
-            SweepKind::Threshold => {
-                sweep::threshold_json(&sweep::threshold_sweep(&self.runner, &cfg)).to_string()
-            }
+        self.run_grid_op(key, move || {
+            let data = match kind {
+                SweepKind::Size => sweep::size_sweep(&self.runner, &cfg, ifconv)
+                    .to_json()
+                    .to_string(),
+                SweepKind::History => sweep::history_sweep(&self.runner, &cfg, ifconv)
+                    .to_json()
+                    .to_string(),
+                SweepKind::Threshold => {
+                    sweep::threshold_json(&sweep::threshold_sweep(&self.runner, &cfg)).to_string()
+                }
+            };
+            (data, Provenance::Cold)
         })
     }
 
@@ -421,11 +444,12 @@ impl ServerState {
         );
         self.run_grid_op(key, move || {
             let report = run_check(&opts);
-            Json::obj()
+            let data = Json::obj()
                 .field("passed", report.passed())
                 .field("findings", report.findings.len())
                 .field("summary", report.summary().as_str())
-                .to_string()
+                .to_string();
+            (data, Provenance::Cold)
         })
     }
 

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use ppsim_core::{experiments, ExperimentConfig, Json, Runner, RunnerOptions};
+use ppsim_core::{experiments, ExperimentConfig, Json, Runner, RunnerOptions, SampleSpec};
 use ppsim_pipeline::{PredicationModel, SchemeSpec};
 use ppsim_serve::protocol::GridRequest;
 use ppsim_serve::{submit, ServeOptions, Server, ServerState, SubmitOptions};
@@ -395,14 +395,15 @@ fn fuzzed_request_bytes_never_kill_the_server() {
     server.stop();
 }
 
-/// The `report` op prewarms the full grid in `--jobs`-sized chunks of
-/// plan order, over more streams than the trace memo holds (32). The
-/// if-converted binaries come back in Figure 6b and the IPC ablation
-/// after the memo has overflowed; each (binary, budget) stream must
-/// still be captured exactly once.
+/// The `report` op runs the full grid in one pass over more streams
+/// than the trace memo holds (32). The if-converted binaries come back
+/// in Figure 6b and the IPC ablation; each (binary, budget) stream must
+/// still be captured exactly once. A repeat reads each cell from the
+/// disk cache once: it adds one job and one hit per unique cell to the
+/// telemetry, and simulates nothing.
 #[test]
-fn chunked_report_prewarm_captures_each_stream_once() {
-    let dir = temp_dir("prewarm");
+fn report_captures_each_stream_once() {
+    let dir = temp_dir("one-pass");
     let state = ServerState::new(&ServeOptions {
         runner: RunnerOptions {
             jobs: 2,
@@ -417,15 +418,128 @@ fn chunked_report_prewarm_captures_each_stream_once() {
         only: Vec::new(),
         sample: None,
     };
-    state.run_report(&req, |_, _| {}).expect("report renders");
+    let (cold, _) = state.run_report(&req, |_, _| {}).expect("report renders");
     let jobs = experiments::plan(&req.config(), experiments::PlanSpec::FullReport);
     let streams: HashSet<(&str, bool)> = jobs
         .iter()
         .map(|j| (j.benchmark.as_str(), j.ifconv))
         .collect();
     assert!(streams.len() > 32, "{} streams", streams.len());
-    assert_eq!(state.runner.telemetry().captures, streams.len() as u64);
+    let before = state.runner.telemetry();
+    assert_eq!(before.captures, streams.len() as u64);
+
+    let (warm, _) = state.run_report(&req, |_, _| {}).expect("report renders");
+    assert_eq!(warm, cold);
+    let after = state.runner.telemetry();
+    let cells = jobs.iter().map(|j| j.canon()).collect::<HashSet<_>>().len() as u64;
+    assert_eq!(after.jobs_total - before.jobs_total, cells);
+    assert_eq!(after.cache_hits - before.cache_hits, cells);
+    assert_eq!(
+        after.jobs_run, before.jobs_run,
+        "a warm report simulates nothing"
+    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A grid op answered entirely from the cache says so: the first
+/// `fig6a` and `report` simulate and answer `"warm":false` (the report
+/// has cells Figure 6a lacks), their repeats answer `"warm":true` with
+/// the same `data`, as a repeated `cell` does.
+#[test]
+fn repeated_grid_ops_answer_warm() {
+    let server = TestServer::start("grid-warm", 4);
+    let report = format!(r#"{{"op":"report","commits":{COMMITS},"only":"gzip"}}"#);
+    let fig6a = format!(r#"{{"op":"fig6a","commits":{COMMITS},"only":"gzip"}}"#);
+    for request in [&fig6a, &report] {
+        let events = raw_session(server.addr, &[request, request], 2);
+        let results = results_of(&events);
+        assert_eq!(results.len(), 2, "{request}");
+        let warm: Vec<_> = results.iter().map(|r| r.get_path("warm")).collect();
+        assert_eq!(
+            warm,
+            [Some(&Json::Bool(false)), Some(&Json::Bool(true))],
+            "{request}"
+        );
+        assert_eq!(results[0].get_path("data"), results[1].get_path("data"));
+    }
+    server.stop();
+}
+
+/// A cold grid op streams progress over the grid's cells: `done` never
+/// decreases, `total` is constant, and the last event reads
+/// `done == total`. The warm repeat sends exactly one progress event.
+#[test]
+fn grid_progress_is_monotone_and_ends_at_total() {
+    let server = TestServer::start("progress", 4);
+    let request = r#"{"op":"fig6a","commits":5000,"only":"gzip,twolf"}"#;
+    let progress = |events: &[Json]| -> Vec<(i64, i64)> {
+        events
+            .iter()
+            .filter(|e| e.get_path("event").and_then(Json::as_str) == Some("progress"))
+            .map(|e| {
+                assert_eq!(e.get_path("stage").and_then(Json::as_str), Some("fig6a"));
+                let n = |k| e.get_path(k).and_then(Json::as_i64).unwrap();
+                (n("done"), n("total"))
+            })
+            .collect()
+    };
+    let cold = progress(&raw_session(server.addr, &[request], 1));
+    let cells = experiments::plan(
+        &ExperimentConfig {
+            commits: 5_000,
+            only: vec!["gzip".to_string(), "twolf".to_string()],
+            ..ExperimentConfig::default()
+        },
+        experiments::PlanSpec::Fig6a,
+    )
+    .len() as i64;
+    assert_eq!(cold.len() as i64, cells + 1, "the probe, then every cell");
+    assert!(cold.iter().all(|&(_, total)| total == cells), "{cold:?}");
+    assert!(cold.windows(2).all(|w| w[0].0 <= w[1].0), "{cold:?}");
+    assert_eq!(cold.first(), Some(&(0, cells)));
+    assert_eq!(cold.last(), Some(&(cells, cells)));
+    let warm = progress(&raw_session(server.addr, &[request], 1));
+    assert_eq!(warm, [(cells, cells)]);
+    server.stop();
+}
+
+/// A sampled `report` answers the batch sampled report's bytes.
+#[test]
+fn sampled_report_matches_batch_sampled_suite() {
+    let spec = SampleSpec {
+        skip: 1_000,
+        warmup: 500,
+        measure: 1_000,
+        stride: 2_000,
+        count: 2,
+    };
+    let cfg = ExperimentConfig {
+        commits: COMMITS,
+        only: vec!["gzip".to_string()],
+        sample: Some(spec),
+        ..ExperimentConfig::default()
+    };
+    let batch_dir = temp_dir("sampled-batch");
+    let batch = Runner::new(RunnerOptions {
+        jobs: 2,
+        cache_dir: Some(batch_dir.clone()),
+        ..RunnerOptions::default()
+    });
+    let expected = experiments::full_report(&batch, &cfg);
+    let _ = std::fs::remove_dir_all(&batch_dir);
+
+    let server = TestServer::start("sampled-report", 4);
+    let request = format!(
+        r#"{{"op":"report","commits":{COMMITS},"only":"gzip","sample":"{}"}}"#,
+        spec.canon()
+    );
+    let events = raw_session(server.addr, &[&request], 1);
+    let text = results_of(&events)[0]
+        .get_path("data.text")
+        .and_then(Json::as_str)
+        .expect("report result carries data.text");
+    assert_eq!(text, expected, "served sampled report != batch");
+    server.stop();
 }
 
 /// `stats` exposes the tentpole's counters: telemetry, server counters
