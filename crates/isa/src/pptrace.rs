@@ -49,14 +49,24 @@
 //! the producing compare, and MPKI / per-PC H2P numbers are exact.
 //! Memory behavior, data dependences and ILP are not represented —
 //! reports over such traces label the mode "branches-only".
+//!
+//! The import is one pass that writes the buffer's columns directly: a
+//! branch costs its two slots and two flag bytes (10 bytes) and nothing
+//! else is held per branch. Pair ids are handed out provisionally in
+//! first-appearance order and remapped once at the end, so the pair
+//! numbering is still "lowest IP is pair 0", whatever the log's order.
+//! Lines are tokenized as bytes; a line the byte tokenizer does not
+//! recognise as plain (non-ASCII bytes, signed or overlong IPs,
+//! malformed fields) is parsed by `&str` rules, which give it its
+//! meaning or its error, so results do not depend on the tokenizer.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt;
 
-use crate::exec::{ExecInfo, ExecRecord};
+use crate::exec::ExecInfo;
 use crate::insn::{AluKind, CmpRel, CmpType, FpuKind, Insn, Op, Operand};
 use crate::reg::{Fr, Gr, Pr};
-use crate::trace::{TraceBuffer, KIND_BR, KIND_MASK, KIND_MEM, KIND_SHIFT};
+use crate::trace::{flag_byte, TraceBuffer, KIND_BR, KIND_MASK, KIND_MEM, KIND_SHIFT};
 
 /// File magic: identifies a `.pptrace` stream.
 pub const MAGIC: [u8; 8] = *b"PPTRACE\0";
@@ -845,56 +855,84 @@ pub struct CbpSummary {
 /// hex (`0x…`) or decimal instruction address and `taken` is one of
 /// `1/0/T/N/t/n`. Blank lines and `#` comments are ignored.
 ///
+/// One pass writes the buffer's slot and flag columns directly (see the
+/// module docs): each new IP takes the next provisional pair id, and the
+/// ids are remapped to ascending-IP order once the input ends. Lines in
+/// the plain form (ASCII, an unsigned decimal or `0x` IP of at most 19
+/// or 16 digits, a one-character flag) are tokenized as bytes; every
+/// other line goes through the original `&str` rules, which decide
+/// what it means and word its error.
+///
 /// # Errors
 ///
 /// [`TraceFileError::Corrupt`] naming the offending line for malformed
 /// input, or if the input contains no records.
 pub fn import_cbp(text: &str) -> Result<(TraceBuffer, CbpSummary), TraceFileError> {
-    let mut parsed: Vec<(u64, bool)> = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut fields = line.split_whitespace();
-        let (Some(ip), Some(taken), None) = (fields.next(), fields.next(), fields.next()) else {
-            return Err(TraceFileError::Corrupt(format!(
-                "line {}: expected `<ip> <taken>`, got `{line}`",
-                lineno + 1
-            )));
+    let bytes = text.as_bytes();
+    // A record line holds at least three bytes plus its newline, so the
+    // length bounds the count too: a flood of blank lines reserves at
+    // most 2.5 bytes per input byte.
+    let lines = bytes.iter().filter(|&&b| b == b'\n').count() + 1;
+    let records = lines.min(bytes.len().div_ceil(4));
+    let mut slots: Vec<u32> = Vec::with_capacity(2 * records);
+    let mut flags: Vec<u8> = Vec::with_capacity(2 * records);
+    // Flag bytes of the (compare, branch) pair, indexed by the outcome.
+    let pair_flags = [false, true].map(|taken| {
+        let cmp = ExecInfo::Cmp {
+            cond: taken,
+            pt_write: Some(taken),
+            pf_write: Some(!taken),
         };
-        let ip = if let Some(hex) = ip.strip_prefix("0x").or_else(|| ip.strip_prefix("0X")) {
-            u64::from_str_radix(hex, 16)
-        } else {
-            ip.parse()
-        }
-        .map_err(|_| {
-            TraceFileError::Corrupt(format!("line {}: bad branch address `{ip}`", lineno + 1))
-        })?;
-        let taken = match taken {
-            "1" | "T" | "t" => true,
-            "0" | "N" | "n" => false,
-            other => {
-                return Err(TraceFileError::Corrupt(format!(
-                    "line {}: bad taken flag `{other}` (want 1/0/T/N)",
-                    lineno + 1
-                )))
+        let br = ExecInfo::Br { taken, target: 0 };
+        [flag_byte(true, &cmp), flag_byte(taken, &br)]
+    });
+    // Provisional pair ids in first-appearance order.
+    let mut pair_of: HashMap<u64, u32> = HashMap::new();
+    let mut ips: Vec<u64> = Vec::new();
+    let mut taken_count = 0u64;
+
+    let mut pos = 0;
+    let mut lineno = 0;
+    while pos < bytes.len() {
+        lineno += 1;
+        let (record, next) = match scan_cbp_line(bytes, pos) {
+            Some(scanned) => scanned,
+            None => {
+                let end = bytes[pos..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |n| pos + n);
+                (parse_cbp_line(&text[pos..end], lineno)?, end + 1)
             }
         };
-        parsed.push((ip, taken));
+        pos = next;
+        let Some((ip, taken)) = record else { continue };
+        let k = *pair_of.entry(ip).or_insert_with(|| {
+            ips.push(ip);
+            ips.len() as u32 - 1
+        });
+        slots.extend_from_slice(&[2 * k, 2 * k + 1]);
+        flags.extend_from_slice(&pair_flags[usize::from(taken)]);
+        taken_count += u64::from(taken);
     }
-    if parsed.is_empty() {
+    if slots.is_empty() {
         return Err(TraceFileError::Corrupt("no branch records in input".into()));
     }
 
     // Deterministic static skeleton: distinct IPs in ascending order,
     // each a (compare producer, guarded branch consumer) slot pair.
-    let mut index: BTreeMap<u64, u32> = parsed.iter().map(|&(ip, _)| (ip, 0)).collect();
-    for (k, slot) in index.values_mut().enumerate() {
-        *slot = k as u32;
+    let mut order: Vec<u32> = (0..ips.len() as u32).collect();
+    order.sort_unstable_by_key(|&k| ips[k as usize]);
+    let mut remap = vec![0u32; 2 * ips.len()];
+    for (rank, &k) in order.iter().enumerate() {
+        remap[2 * k as usize] = 2 * rank as u32;
+        remap[2 * k as usize + 1] = 2 * rank as u32 + 1;
     }
-    let mut insns = Vec::with_capacity(index.len() * 2);
-    for k in 0..index.len() as u32 {
+    for slot in &mut slots {
+        *slot = remap[*slot as usize];
+    }
+    let mut insns = Vec::with_capacity(2 * ips.len());
+    for k in 0..ips.len() as u32 {
         insns.push(Insn::new(Op::Cmp {
             ctype: CmpType::Unc,
             rel: CmpRel::Eq,
@@ -909,54 +947,147 @@ pub fn import_cbp(text: &str) -> Result<(TraceBuffer, CbpSummary), TraceFileErro
         insns.push(Insn::guarded(Pr::new(1), Op::Br { target: 2 * k }));
     }
 
-    let mut buf = TraceBuffer::from_parts(insns, Vec::new(), Vec::new(), Vec::new(), false);
-    let mut taken_count = 0u64;
-    let mut seq = 0u64;
-    for &(ip, taken) in &parsed {
-        let k = index[&ip];
-        let cmp_slot = 2 * k;
-        let br_slot = 2 * k + 1;
-        taken_count += u64::from(taken);
-        buf.push(&ExecRecord {
-            seq,
-            slot: cmp_slot,
-            insn: buf.code()[cmp_slot as usize],
-            qp: true,
-            info: ExecInfo::Cmp {
-                cond: taken,
-                pt_write: Some(taken),
-                pf_write: Some(!taken),
-            },
-            next_slot: br_slot,
-        });
-        seq += 1;
-        buf.push(&ExecRecord {
-            seq,
-            slot: br_slot,
-            insn: buf.code()[br_slot as usize],
-            qp: taken,
-            info: ExecInfo::Br {
-                taken,
-                target: cmp_slot,
-            },
-            next_slot: cmp_slot,
-        });
-        seq += 1;
-    }
-
     let summary = CbpSummary {
-        branches: parsed.len() as u64,
+        branches: slots.len() as u64 / 2,
         taken: taken_count,
-        static_branches: index.len() as u64,
-        ips: index.keys().copied().collect(),
+        static_branches: ips.len() as u64,
+        ips: order.iter().map(|&k| ips[k as usize]).collect(),
     };
+    let buf = TraceBuffer::from_parts(insns, slots, flags, Vec::new(), false);
     Ok((buf, summary))
+}
+
+// Byte classes of the CBP tokenizer.
+/// Any other ASCII byte: part of a field.
+const CBP_TOKEN: u8 = 0;
+/// The ASCII bytes `char::is_whitespace` accepts, `\n` aside: tab, VT,
+/// FF, CR and space.
+const CBP_SPACE: u8 = 1;
+/// `\n` or `#`: the line's record text ends here.
+const CBP_END: u8 = 2;
+/// Non-ASCII: the line goes through [`parse_cbp_line`].
+const CBP_WIDE: u8 = 3;
+
+/// The class of every byte value.
+const CBP_CLASS: [u8; 256] = {
+    let mut class = [CBP_TOKEN; 256];
+    let mut b = 0x80;
+    while b < 256 {
+        class[b] = CBP_WIDE;
+        b += 1;
+    }
+    class[b'\t' as usize] = CBP_SPACE;
+    class[0x0b] = CBP_SPACE;
+    class[0x0c] = CBP_SPACE;
+    class[b'\r' as usize] = CBP_SPACE;
+    class[b' ' as usize] = CBP_SPACE;
+    class[b'\n' as usize] = CBP_END;
+    class[b'#' as usize] = CBP_END;
+    class
+};
+
+/// Tokenizes the line starting at `start` as bytes. Returns its record
+/// (`None` for a blank or comment-only line) and where the next line
+/// starts, or `None` when the line is not in the plain form and
+/// [`parse_cbp_line`] must decide. On every line it accepts it agrees
+/// with [`parse_cbp_line`].
+fn scan_cbp_line(bytes: &[u8], start: usize) -> Option<(Option<(u64, bool)>, usize)> {
+    let class = |i: usize| bytes.get(i).map_or(CBP_END, |&b| CBP_CLASS[usize::from(b)]);
+    let mut i = start;
+    while class(i) == CBP_SPACE {
+        i += 1;
+    }
+    let record = if class(i) == CBP_END {
+        None
+    } else {
+        let ip_start = i;
+        while class(i) == CBP_TOKEN {
+            i += 1;
+        }
+        let ip = parse_plain_ip(&bytes[ip_start..i])?;
+        if class(i) != CBP_SPACE {
+            return None;
+        }
+        while class(i) == CBP_SPACE {
+            i += 1;
+        }
+        let taken = match bytes.get(i)? {
+            b'1' | b'T' | b't' => true,
+            b'0' | b'N' | b'n' => false,
+            _ => return None,
+        };
+        i += 1;
+        while class(i) == CBP_SPACE {
+            i += 1;
+        }
+        if class(i) != CBP_END {
+            return None;
+        }
+        Some((ip, taken))
+    };
+    // `i` sits on `\n`, on a `#` whose comment runs to the line's end, or
+    // past the input.
+    while i < bytes.len() && bytes[i] != b'\n' {
+        i += 1;
+    }
+    Some((record, i + 1))
+}
+
+/// An IP in the plain form: `0x`/`0X` and 1–16 hex digits, or 1–19
+/// decimal digits, so it cannot overflow. Anything else is `None`.
+fn parse_plain_ip(token: &[u8]) -> Option<u64> {
+    let (digits, radix, max_len) = match token {
+        [b'0', b'x' | b'X', hex @ ..] => (hex, 16, 16),
+        _ => (token, 10, 19),
+    };
+    if digits.is_empty() || digits.len() > max_len {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |value, &b| {
+        let digit = char::from(b).to_digit(radix)?;
+        Some(value * u64::from(radix) + u64::from(digit))
+    })
+}
+
+/// Parses one line of a CBP log by the `&str` rules: the text before the
+/// first `#`, trimmed, must be `<ip> <taken>` split by Unicode
+/// whitespace, and the IP may carry a `+` (after the `0x` of a hex IP).
+/// Returns `None` for a blank or comment-only line.
+/// `lineno` (1-based) names the line in the error.
+fn parse_cbp_line(raw: &str, lineno: usize) -> Result<Option<(u64, bool)>, TraceFileError> {
+    let line = raw.split('#').next().unwrap_or("").trim();
+    if line.is_empty() {
+        return Ok(None);
+    }
+    let mut fields = line.split_whitespace();
+    let (Some(ip), Some(taken), None) = (fields.next(), fields.next(), fields.next()) else {
+        return Err(TraceFileError::Corrupt(format!(
+            "line {lineno}: expected `<ip> <taken>`, got `{line}`"
+        )));
+    };
+    let ip = if let Some(hex) = ip.strip_prefix("0x").or_else(|| ip.strip_prefix("0X")) {
+        u64::from_str_radix(hex, 16)
+    } else {
+        ip.parse()
+    }
+    .map_err(|_| TraceFileError::Corrupt(format!("line {lineno}: bad branch address `{ip}`")))?;
+    let taken = match taken {
+        "1" | "T" | "t" => true,
+        "0" | "N" | "n" => false,
+        other => {
+            return Err(TraceFileError::Corrupt(format!(
+                "line {lineno}: bad taken flag `{other}` (want 1/0/T/N)"
+            )))
+        }
+    };
+    Ok(Some((ip, taken)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::Asm;
+    use crate::exec::ExecRecord;
     use crate::trace::{kitchen_sink_program, TraceCursor};
     use crate::InsnSource;
     use std::sync::Arc;

@@ -49,6 +49,39 @@ const F_CMP_PF_SOME: u8 = 1 << 6;
 const F_CMP_PF_VAL: u8 = 1 << 7;
 const F_BR_TAKEN: u8 = 1 << 3;
 
+/// The flag byte of a record with guard value `qp` and outcome `info`
+/// (a memory record's address goes to the side array, not here).
+pub(crate) fn flag_byte(qp: bool, info: &ExecInfo) -> u8 {
+    let mut flags = if qp { F_QP } else { 0 };
+    match *info {
+        ExecInfo::None => flags |= KIND_NONE << KIND_SHIFT,
+        ExecInfo::Cmp {
+            cond,
+            pt_write,
+            pf_write,
+        } => {
+            flags |= KIND_CMP << KIND_SHIFT;
+            if cond {
+                flags |= F_CMP_COND;
+            }
+            if let Some(v) = pt_write {
+                flags |= F_CMP_PT_SOME | if v { F_CMP_PT_VAL } else { 0 };
+            }
+            if let Some(v) = pf_write {
+                flags |= F_CMP_PF_SOME | if v { F_CMP_PF_VAL } else { 0 };
+            }
+        }
+        ExecInfo::Br { taken, .. } => {
+            flags |= KIND_BR << KIND_SHIFT;
+            if taken {
+                flags |= F_BR_TAKEN;
+            }
+        }
+        ExecInfo::Mem { .. } => flags |= KIND_MEM << KIND_SHIFT,
+    }
+    flags
+}
+
 /// A captured, pre-decoded dynamic instruction trace.
 ///
 /// Built once per compiled binary (see [`TraceBuffer::capture`] or the
@@ -114,38 +147,11 @@ impl TraceBuffer {
             self.slots.len() as u64,
             "trace records must be pushed in stream order"
         );
-        let mut flags = if rec.qp { F_QP } else { 0 };
-        match rec.info {
-            ExecInfo::None => flags |= KIND_NONE << KIND_SHIFT,
-            ExecInfo::Cmp {
-                cond,
-                pt_write,
-                pf_write,
-            } => {
-                flags |= KIND_CMP << KIND_SHIFT;
-                if cond {
-                    flags |= F_CMP_COND;
-                }
-                if let Some(v) = pt_write {
-                    flags |= F_CMP_PT_SOME | if v { F_CMP_PT_VAL } else { 0 };
-                }
-                if let Some(v) = pf_write {
-                    flags |= F_CMP_PF_SOME | if v { F_CMP_PF_VAL } else { 0 };
-                }
-            }
-            ExecInfo::Br { taken, .. } => {
-                flags |= KIND_BR << KIND_SHIFT;
-                if taken {
-                    flags |= F_BR_TAKEN;
-                }
-            }
-            ExecInfo::Mem { addr } => {
-                flags |= KIND_MEM << KIND_SHIFT;
-                self.addrs.push(addr);
-            }
+        if let ExecInfo::Mem { addr } = rec.info {
+            self.addrs.push(addr);
         }
         self.slots.push(rec.slot);
-        self.flags.push(flags);
+        self.flags.push(flag_byte(rec.qp, &rec.info));
     }
 
     /// Marks the stream as ending in a `halt` (the capturing machine

@@ -21,7 +21,9 @@
 /// release at the commit cycle, which is monotone, so the common case is
 /// an O(1) append / expire — and these pools are touched several times
 /// per simulated instruction. Out-of-order releases (issue-queue slots on
-/// an early-issuing instruction) take a bounded sorted-insert path.
+/// an early-issuing instruction) take one insertion-sort step from the
+/// tail, bounded by the capacity. (A binary heap is slower: every pool
+/// stays full, so every acquire would pay a log-depth pop.)
 #[derive(Clone, Debug)]
 pub struct Pool {
     /// Outstanding release cycles in ascending order, stored at ring
@@ -91,29 +93,19 @@ impl Pool {
             self.pop_front();
         }
         let r = release.max(at);
-        if self.len > 0 && self.get(self.len - 1) > r {
-            // Out-of-order release: binary-search the first entry > r,
-            // shift the tail right one slot, insert. Bounded by capacity.
-            let mut lo = 0usize;
-            let mut hi = self.len;
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if self.get(mid) <= r {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
+        // One insertion-sort step from the tail: shift every entry later
+        // than `r` one slot right and stop at the first that is not. An
+        // in-order release (the common case) shifts nothing.
+        let mut i = self.len;
+        while i > 0 {
+            let v = self.get(i - 1);
+            if v <= r {
+                break;
             }
-            let mut i = self.len;
-            while i > lo {
-                let v = self.get(i - 1);
-                self.set(i, v);
-                i -= 1;
-            }
-            self.set(lo, r);
-        } else {
-            self.set(self.len, r);
+            self.set(i, v);
+            i -= 1;
         }
+        self.set(i, r);
         self.len += 1;
         at
     }
@@ -306,6 +298,75 @@ mod tests {
             now = p.acquire(now, now + 5 + (i % 3));
         }
         assert!(p.earliest(now) >= now);
+    }
+
+    /// The pool's contract over a sorted `Vec`: the same lazy expiry
+    /// (entries go only when the pool is full) and the same ties (a
+    /// release lands after every equal one).
+    struct ReferencePool {
+        releases: Vec<u64>,
+        capacity: usize,
+    }
+
+    impl ReferencePool {
+        fn earliest(&mut self, now: u64) -> u64 {
+            while self.releases.len() >= self.capacity && self.releases[0] <= now {
+                self.releases.remove(0);
+            }
+            if self.releases.len() < self.capacity {
+                now
+            } else {
+                now.max(self.releases[0])
+            }
+        }
+
+        fn acquire(&mut self, now: u64, release: u64) -> u64 {
+            let at = self.earliest(now);
+            if self.releases.len() >= self.capacity {
+                self.releases.remove(0);
+            }
+            let r = release.max(at);
+            let i = self.releases.partition_point(|&v| v <= r);
+            self.releases.insert(i, r);
+            at
+        }
+    }
+
+    #[test]
+    fn pool_matches_a_sorted_vec_reference() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for capacity in [1, 2, 3, 7, 8, 32, 80] {
+            let mut pool = Pool::new(capacity);
+            let mut reference = ReferencePool {
+                releases: Vec::new(),
+                capacity,
+            };
+            let mut now = 0u64;
+            for step in 0..20_000 {
+                now += next() % 3;
+                // Mostly near-monotone releases, with out-of-order ones
+                // that land anywhere in the window, ties included.
+                let release = match next() % 4 {
+                    0 => now + next() % 4,
+                    1 => now + next() % 200,
+                    _ => now + 20 + next() % 8,
+                };
+                if next().is_multiple_of(5) {
+                    assert_eq!(pool.earliest(now), reference.earliest(now), "step {step}");
+                }
+                let got = pool.acquire(now, release);
+                assert_eq!(got, reference.acquire(now, release), "step {step}");
+                now = now.max(got);
+                let held: Vec<u64> = (0..pool.len).map(|i| pool.get(i)).collect();
+                assert_eq!(held, reference.releases, "capacity {capacity} step {step}");
+            }
+        }
     }
 
     #[test]

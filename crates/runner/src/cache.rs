@@ -87,9 +87,10 @@ pub struct CacheUsage {
 /// Optionally size-capped: when a byte budget is set, every store sweeps
 /// the directory and evicts least-recently-used entries until the total
 /// fits. Recency is approximated with the filesystem: a store's own
-/// mtime marks creation, and every load hit drops a zero-byte
-/// `<hash>.touch` sidecar beside the entry (std has no way to bump an
-/// mtime directly), so an entry's recency is the newer of the two.
+/// mtime marks creation, and every load hit on a capped cache drops a
+/// zero-byte `<hash>.touch` sidecar beside the entry (std has no way to
+/// bump an mtime directly), so an entry's recency is the newer of the
+/// two. An uncapped cache never reads recency, so its hits write nothing.
 #[derive(Clone, Debug)]
 pub struct DiskCache {
     dir: PathBuf,
@@ -141,17 +142,20 @@ impl DiskCache {
     /// Loads the result for `job`, or `None` on any kind of miss
     /// (absent, truncated, stale canon, bad checksum, unparseable).
     /// Corrupt entries are treated as misses, not errors — the runner
-    /// recomputes and overwrites them. A hit refreshes the entry's
-    /// recency.
+    /// recomputes and overwrites them. A hit on a capped cache refreshes
+    /// the entry's recency.
     pub fn load(&self, job: &Job) -> Option<JobResult> {
         // One canon names the file and checks the stored echo.
         let canon = job.canon();
         let path = self.entry_path(&canon);
         let text = fs::read_to_string(&path).ok()?;
         let result = parse_entry(&text, &canon)?;
-        // Refresh recency. A failed touch only degrades the eviction
-        // order, never correctness.
-        let _ = fs::write(path.with_extension("touch"), b"");
+        // Refresh recency, which only a capped cache's eviction reads. A
+        // failed touch only degrades the eviction order, never
+        // correctness.
+        if self.max_bytes.is_some() {
+            let _ = fs::write(path.with_extension("touch"), b"");
+        }
         Some(result)
     }
 
@@ -806,6 +810,21 @@ mod tests {
         assert!(cache.load(&job_n(1)).is_some(), "recently used survives");
         assert!(cache.load(&job_n(2)).is_none(), "LRU entry evicted");
         assert!(cache.load(&job_n(3)).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn uncapped_hits_leave_no_touch_sidecar() {
+        let dir = temp_dir("notouch");
+        let cache = DiskCache::open(&dir).unwrap();
+        let j = job();
+        cache.store(&j, &result()).unwrap();
+        assert!(cache.load(&j).is_some());
+        let touch = cache.dir().join(format!("{}.touch", j.hash_hex()));
+        assert!(!touch.exists(), "an uncapped hit wrote {}", touch.display());
+        let capped = DiskCache::open_capped(&dir, Some(u64::MAX)).unwrap();
+        assert!(capped.load(&j).is_some());
+        assert!(touch.exists(), "a capped hit refreshes recency");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -7,7 +7,7 @@
 //! [`Inflight`] table holds one *flight* per key for exactly as long as
 //! the computation runs: the first caller becomes the **leader** and
 //! executes the closure; callers arriving while the flight is open block
-//! and receive a clone of the leader's result; callers arriving after
+//! and receive the leader's result; callers arriving after
 //! the flight closed start a fresh one (by then the result is expected
 //! to be in a cache in front of this table — the table coalesces
 //! *concurrency*, it is not a memo).
@@ -22,9 +22,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// The per-key rendezvous: the leader publishes into `slot` and wakes
-/// every follower blocked on `cv`.
+/// every follower blocked on `cv`. The slot holds the outcome and how
+/// many followers have yet to read it: each reads a clone but the last,
+/// which takes it. A flight nobody joined publishes nothing.
 struct Flight<V> {
-    slot: Mutex<Option<Result<V, String>>>,
+    slot: Mutex<Option<(Result<V, String>, usize)>>,
     cv: Condvar,
 }
 
@@ -65,9 +67,11 @@ impl<K: Eq + Hash + Clone, V: Clone> Inflight<K, V> {
     ///
     /// Returns `(outcome, led)`: `led` is `true` for the caller that
     /// actually executed `work` (exactly one per flight), `false` for
-    /// callers that joined an open flight and received a clone of the
-    /// leader's value. The outcome is `Err` only if the leader panicked;
-    /// the panic is contained and the key is immediately reusable.
+    /// callers that joined an open flight and received the leader's
+    /// value. A flight with `f` followers clones that value `f` times, so
+    /// a lone leader clones nothing. The outcome is `Err` only if the
+    /// leader panicked; the panic is contained and the key is immediately
+    /// reusable.
     pub fn run<F: FnOnce() -> V>(&self, key: K, work: F) -> (Result<V, String>, bool) {
         let (flight, leader) = {
             let mut map = self.flights.lock().unwrap();
@@ -82,11 +86,18 @@ impl<K: Eq + Hash + Clone, V: Clone> Inflight<K, V> {
         };
 
         if !leader {
-            let mut slot = flight.slot.lock().unwrap();
-            while slot.is_none() {
-                slot = flight.cv.wait(slot).unwrap();
-            }
-            return (slot.clone().unwrap(), false);
+            let mut slot = flight
+                .cv
+                .wait_while(flight.slot.lock().unwrap(), |slot| slot.is_none())
+                .unwrap();
+            let (outcome, unread) = slot.as_mut().expect("published");
+            *unread -= 1;
+            let mine = if *unread == 0 {
+                slot.take().expect("published").0
+            } else {
+                outcome.clone()
+            };
+            return (mine, false);
         }
 
         let outcome = catch_unwind(AssertUnwindSafe(work)).map_err(|payload| {
@@ -98,10 +109,18 @@ impl<K: Eq + Hash + Clone, V: Clone> Inflight<K, V> {
             format!("in-flight job panicked: {msg}")
         });
         // Close the flight *before* publishing: a caller racing in now
-        // starts fresh instead of joining a finished flight.
-        self.flights.lock().unwrap().remove(&key);
-        *flight.slot.lock().unwrap() = Some(outcome.clone());
-        flight.cv.notify_all();
+        // starts fresh instead of joining a finished flight. Followers
+        // join only under the map lock, so once the flight is out of the
+        // map every other handle on it belongs to a waiting follower.
+        let followers = {
+            let mut map = self.flights.lock().unwrap();
+            map.remove(&key);
+            Arc::strong_count(&flight) - 1
+        };
+        if followers > 0 {
+            *flight.slot.lock().unwrap() = Some((outcome.clone(), followers));
+            flight.cv.notify_all();
+        }
         (outcome, true)
     }
 }
@@ -153,6 +172,57 @@ mod tests {
             assert_eq!(*v.as_ref().unwrap(), 0xBEEF);
         }
         assert_eq!(table.open(), 0, "flight closed");
+    }
+
+    /// Counts its own clones.
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Counted(Arc::clone(&self.0))
+        }
+    }
+
+    #[test]
+    fn the_leaders_value_is_cloned_once_per_follower() {
+        let clones = Arc::new(AtomicUsize::new(0));
+        let table: Inflight<u32, Counted> = Inflight::new();
+        let (out, led) = table.run(1, || Counted(Arc::clone(&clones)));
+        assert!(led && out.is_ok());
+        assert_eq!(
+            clones.load(Ordering::SeqCst),
+            0,
+            "a lone leader clones nothing"
+        );
+
+        const N: usize = 6;
+        let outcomes: Vec<(Result<Counted, String>, bool)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..N)
+                .map(|_| {
+                    scope.spawn(|| {
+                        table.run(2, || {
+                            // Hold the flight open until every peer has
+                            // joined: the map's handle, the leader's and
+                            // one per follower.
+                            while Arc::strong_count(&table.flights.lock().unwrap()[&2]) < N + 1 {
+                                std::thread::yield_now();
+                            }
+                            Counted(Arc::clone(&clones))
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(outcomes.iter().all(|(out, _)| out.is_ok()));
+        let leaders = outcomes.iter().filter(|(_, led)| *led).count();
+        assert_eq!(leaders, 1, "exactly one leader");
+        assert_eq!(
+            clones.load(Ordering::SeqCst),
+            N - 1,
+            "one clone per follower"
+        );
     }
 
     #[test]

@@ -90,11 +90,13 @@ pub struct Counters {
     pub errors: u64,
     /// Lines dropped for exceeding [`crate::protocol::MAX_LINE`].
     pub oversized_lines: u64,
-    /// Cell requests answered straight from the disk cache (warm lane).
+    /// Cell requests answered from the disk cache: warm-lane hits, and
+    /// cold-lane leaders (a sampled cell's windows, or a cell a
+    /// just-closed flight stored) that found every result cached.
     pub warm_hits: u64,
     /// Requests that joined another client's in-flight run.
     pub coalesced: u64,
-    /// Cell requests that went to the cold lane as leader.
+    /// Cell requests that went to the cold lane as leader and simulated.
     pub cold_runs: u64,
     /// Grid-shaped ops executed (fig6a/report/sweep/check leaders).
     pub grid_ops: u64,
@@ -126,8 +128,9 @@ pub enum Provenance {
     /// grid that simulated at least one cell (`sweep` and `check` always
     /// answer cold).
     Cold,
-    /// Replayed from the disk cache: a cell hit, or a `fig6a`/`report`
-    /// grid whose every cell was a hit.
+    /// Replayed from the disk cache: a cell hit, a sampled cell whose
+    /// every window was a hit, or a `fig6a`/`report` grid whose every
+    /// cell was a hit.
     Warm,
     /// Joined another client's in-flight run.
     Coalesced,
@@ -151,8 +154,8 @@ pub struct ServerState {
     /// telemetry; handlers use the op methods below.
     pub runner: Runner,
     /// Cold-lane coalescing: one flight per canonical cell, holding the
-    /// rendered result `data` text.
-    cells: Inflight<String, String>,
+    /// rendered result `data` text and whether it came from the cache.
+    cells: Inflight<String, (String, bool)>,
     /// Op-level coalescing for grid-shaped requests, holding the
     /// rendered `data` text and how the leader produced it.
     grids: Inflight<String, (String, Provenance)>,
@@ -228,38 +231,24 @@ impl ServerState {
             self.count(|c| c.warm_hits += 1);
             return Ok((self.render_cell(job, &hit), Provenance::Warm));
         }
-        let (outcome, led) = self.cells.run(job.canon(), || {
-            let _permit = self.sim_permits.acquire();
+        self.cold_lane(job.canon(), || {
             // run_job re-probes the cache first, so a leader that waited
             // out a just-finished flight replays instead of simulating.
             let r = self.runner.run_job(job);
-            self.render_cell(job, &r)
-        });
-        self.count(|c| {
-            if led {
-                c.cold_runs += 1;
-            } else {
-                c.coalesced += 1;
-            }
-        });
-        let provenance = if led {
-            Provenance::Cold
-        } else {
-            Provenance::Coalesced
-        };
-        Ok((outcome?, provenance))
+            (self.render_cell(job, &r), r.from_cache)
+        })
     }
 
     /// A sampled cell: always the cold lane (per-window results are
-    /// cached inside the runner; the aggregate is cheap to rebuild).
+    /// cached inside the runner; the aggregate is cheap to rebuild). It
+    /// answers warm when every window came from the cache.
     pub fn run_cell_sampled(
         &self,
         job: &Job,
         spec: SampleSpec,
     ) -> Result<(String, Provenance), String> {
         let key = format!("sampled|{}|{}", spec.canon(), job.canon());
-        let (outcome, led) = self.cells.run(key, || {
-            let _permit = self.sim_permits.acquire();
+        self.cold_lane(key, || {
             let s = self.runner.run_job_sampled(job, spec);
             let mut data = Json::obj()
                 .field("key", job.hash_hex().as_str())
@@ -277,21 +266,34 @@ impl ServerState {
                         .collect(),
                 ),
             );
-            data.to_string()
+            (data.to_string(), s.aggregate.from_cache)
+        })
+    }
+
+    /// Runs a cell on the cold lane: coalesced under `key`, the leader
+    /// holding a simulation permit. `work` renders the `data` text and
+    /// says whether every result it used came from the disk cache; the
+    /// leader then answers (and counts) warm instead of cold.
+    fn cold_lane(
+        &self,
+        key: String,
+        work: impl FnOnce() -> (String, bool),
+    ) -> Result<(String, Provenance), String> {
+        let (outcome, led) = self.cells.run(key, || {
+            let _permit = self.sim_permits.acquire();
+            work()
         });
-        self.count(|c| {
-            if led {
-                c.cold_runs += 1;
-            } else {
-                c.coalesced += 1;
-            }
-        });
-        let provenance = if led {
-            Provenance::Cold
-        } else {
-            Provenance::Coalesced
+        let provenance = match (led, &outcome) {
+            (false, _) => Provenance::Coalesced,
+            (true, Ok((_, true))) => Provenance::Warm,
+            (true, _) => Provenance::Cold,
         };
-        Ok((outcome?, provenance))
+        self.count(|c| match provenance {
+            Provenance::Warm => c.warm_hits += 1,
+            Provenance::Cold => c.cold_runs += 1,
+            Provenance::Coalesced => c.coalesced += 1,
+        });
+        Ok((outcome?.0, provenance))
     }
 
     /// Runs a grid-shaped op under the grid lane with op-level

@@ -465,6 +465,23 @@ fn repeated_grid_ops_answer_warm() {
     server.stop();
 }
 
+/// A repeated sampled `cell` answers `"warm":true` with the same `data`
+/// once every window is in the cache, and counts as a warm hit.
+#[test]
+fn repeated_sampled_cell_answers_warm() {
+    let server = TestServer::start("sampled-warm", 4);
+    let request = r#"{"op":"cell","bench":"gzip","scheme":"tage","commits":30000,"sample":"1000:500:1000:2000:2"}"#;
+    let events = raw_session(server.addr, &[request, request], 2);
+    let results = results_of(&events);
+    assert_eq!(results.len(), 2);
+    let warm: Vec<_> = results.iter().map(|r| r.get_path("warm")).collect();
+    assert_eq!(warm, [Some(&Json::Bool(false)), Some(&Json::Bool(true))]);
+    assert_eq!(results[0].get_path("data"), results[1].get_path("data"));
+    let counters = server.state.counters();
+    assert_eq!((counters.cold_runs, counters.warm_hits), (1, 1));
+    server.stop();
+}
+
 /// A cold grid op streams progress over the grid's cells: `done` never
 /// decreases, `total` is constant, and the last event reads
 /// `done == total`. The warm repeat sends exactly one progress event.
