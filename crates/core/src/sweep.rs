@@ -12,8 +12,10 @@
 //! * [`threshold_sweep`] — how the if-conversion aggressiveness threshold
 //!   moves branch population and final accuracy.
 //!
-//! All sweeps execute through the [`Runner`], so points share compiled
-//! binaries where possible and land in the on-disk result cache.
+//! All sweeps execute through the [`Runner`], each as one grid over all
+//! its points: points share compiled binaries and captured streams (a
+//! stream is captured once per sweep, not once per point), and results
+//! land in the on-disk result cache.
 
 use ppsim_pipeline::{PredicationModel, SchemeKind};
 use ppsim_predictors::{PerceptronConfig, PredicateConfig};
@@ -88,19 +90,27 @@ fn names(cfg: &ExperimentConfig) -> Vec<&'static str> {
         .collect()
 }
 
-/// Runs a sweep grid, honouring `cfg.sample`: a sampled configuration
-/// folds each job's measured windows into one counter-summed aggregate
-/// (`SampledResult::aggregate`), so every sweep sees the same result
-/// shape — and the same averaging code — on both paths.
-fn run_jobs(runner: &Runner, cfg: &ExperimentConfig, jobs: &[Job]) -> Vec<JobResult> {
-    match cfg.sample {
+/// Runs a sweep as one grid over all its points, honouring `cfg.sample`
+/// (a sampled configuration folds each job's measured windows into one
+/// counter-summed aggregate, `SampledResult::aggregate`, so every sweep
+/// sees the same result shape on both paths), and returns each point's
+/// results in point order. One grid, not one per point, lets every point
+/// replay a stream while its capture is live.
+fn run_points(runner: &Runner, cfg: &ExperimentConfig, points: &[Vec<Job>]) -> Vec<Vec<JobResult>> {
+    let jobs = points.concat();
+    let results = match cfg.sample {
         Some(spec) => runner
-            .run_grid_sampled(jobs, spec)
+            .run_grid_sampled(&jobs, spec)
             .into_iter()
             .map(|s| s.aggregate)
             .collect(),
-        None => runner.run_grid(jobs),
-    }
+        None => runner.run_grid(&jobs),
+    };
+    let mut results = results.into_iter();
+    points
+        .iter()
+        .map(|p| results.by_ref().take(p.len()).collect())
+        .collect()
 }
 
 fn base_job(cfg: &ExperimentConfig, bench: &str, ifconv: bool, scheme: SchemeKind) -> Job {
@@ -115,35 +125,22 @@ fn base_job(cfg: &ExperimentConfig, bench: &str, ifconv: bool, scheme: SchemeKin
     )
 }
 
-/// Average misprediction rate over the selected benchmarks for one pair of
-/// predictor configurations. Builds one (benchmark × 2 schemes) grid.
-fn measure_pair(
-    runner: &Runner,
-    cfg: &ExperimentConfig,
-    perceptron: PerceptronConfig,
-    ifconv: bool,
-) -> (f64, f64) {
-    let names = names(cfg);
-    let jobs: Vec<Job> = names
+/// One point's jobs: the conventional and the predicate scheme on every
+/// selected benchmark, each base job adjusted by `job`.
+fn pair_jobs(cfg: &ExperimentConfig, ifconv: bool, job: impl Fn(Job) -> Job) -> Vec<Job> {
+    names(cfg)
         .iter()
         .flat_map(|&name| {
-            [
-                Job {
-                    perceptron: Some(perceptron),
-                    ..base_job(cfg, name, ifconv, SchemeKind::Conventional)
-                },
-                Job {
-                    predicate: Some(PredicateConfig {
-                        perceptron,
-                        conf_bits: 3,
-                    }),
-                    ..base_job(cfg, name, ifconv, SchemeKind::Predicate)
-                },
-            ]
+            [SchemeKind::Conventional, SchemeKind::Predicate]
+                .map(|scheme| job(base_job(cfg, name, ifconv, scheme)))
         })
-        .collect();
-    let results = run_jobs(runner, cfg, &jobs);
-    let n = names.len().max(1) as f64;
+        .collect()
+}
+
+/// The (conventional, predicate) misprediction rates of one point's
+/// [`pair_jobs`] results, each averaged over the benchmarks.
+fn pair_rates(results: &[JobResult]) -> (f64, f64) {
+    let n = (results.len() / 2).max(1) as f64;
     let conv_sum: f64 = results
         .iter()
         .step_by(2)
@@ -158,30 +155,68 @@ fn measure_pair(
     (conv_sum / n, pred_sum / n)
 }
 
+/// Measures labelled perceptron geometries as one grid: each point runs
+/// both schemes, the predicate predictor with the point's geometry and
+/// 3-bit confidence.
+fn perceptron_points(
+    runner: &Runner,
+    cfg: &ExperimentConfig,
+    ifconv: bool,
+    geometries: &[(String, PerceptronConfig)],
+) -> Vec<SweepPoint> {
+    let jobs: Vec<Vec<Job>> = geometries
+        .iter()
+        .map(|&(_, perceptron)| {
+            pair_jobs(cfg, ifconv, |job| match job.scheme {
+                SchemeKind::Conventional => Job {
+                    perceptron: Some(perceptron),
+                    ..job
+                },
+                _ => Job {
+                    predicate: Some(PredicateConfig {
+                        perceptron,
+                        conf_bits: 3,
+                    }),
+                    ..job
+                },
+            })
+        })
+        .collect();
+    geometries
+        .iter()
+        .zip(run_points(runner, cfg, &jobs))
+        .map(|((label, _), results)| {
+            let (conventional, predicate) = pair_rates(&results);
+            SweepPoint {
+                label: label.clone(),
+                conventional,
+                predicate,
+            }
+        })
+        .collect()
+}
+
 /// Accuracy vs predictor storage budget (row count scaled; geometry
 /// fixed at the paper's 30+10-bit histories).
 pub fn size_sweep(runner: &Runner, cfg: &ExperimentConfig, ifconv: bool) -> Sweep {
-    let mut points = Vec::new();
-    for rows in [462usize, 924, 1848, 3696, 7392] {
-        let perceptron = PerceptronConfig {
-            rows,
-            ..PerceptronConfig::paper_148kb()
-        };
-        let kb = perceptron.table_bytes() as f64 / 1024.0;
-        let (c, p) = measure_pair(runner, cfg, perceptron, ifconv);
-        points.push(SweepPoint {
-            label: format!("{kb:.0} KB"),
-            conventional: c,
-            predicate: p,
-        });
-    }
+    let geometries: Vec<(String, PerceptronConfig)> = [462usize, 924, 1848, 3696, 7392]
+        .iter()
+        .map(|&rows| {
+            let perceptron = PerceptronConfig {
+                rows,
+                ..PerceptronConfig::paper_148kb()
+            };
+            let kb = perceptron.table_bytes() as f64 / 1024.0;
+            (format!("{kb:.0} KB"), perceptron)
+        })
+        .collect();
     Sweep {
         title: format!(
             "Accuracy vs predictor budget ({} binaries)",
             if ifconv { "if-converted" } else { "plain" }
         ),
         axis: "budget".to_string(),
-        points,
+        points: perceptron_points(runner, cfg, ifconv, &geometries),
     }
 }
 
@@ -190,24 +225,21 @@ pub fn size_sweep(runner: &Runner, cfg: &ExperimentConfig, ifconv: bool) -> Swee
 pub fn history_sweep(runner: &Runner, cfg: &ExperimentConfig, ifconv: bool) -> Sweep {
     let base = PerceptronConfig::paper_148kb();
     let budget = base.table_bytes();
-    let mut points = Vec::new();
-    for ghr_bits in [8u32, 16, 24, 30, 40] {
-        let mut perceptron = PerceptronConfig { ghr_bits, ..base };
-        perceptron.rows = budget / perceptron.weights_per_row();
-        let (c, p) = measure_pair(runner, cfg, perceptron, ifconv);
-        points.push(SweepPoint {
-            label: format!("{ghr_bits} bits"),
-            conventional: c,
-            predicate: p,
-        });
-    }
+    let geometries: Vec<(String, PerceptronConfig)> = [8u32, 16, 24, 30, 40]
+        .iter()
+        .map(|&ghr_bits| {
+            let mut perceptron = PerceptronConfig { ghr_bits, ..base };
+            perceptron.rows = budget / perceptron.weights_per_row();
+            (format!("{ghr_bits} bits"), perceptron)
+        })
+        .collect();
     Sweep {
         title: format!(
             "Accuracy vs global-history length at fixed budget ({} binaries)",
             if ifconv { "if-converted" } else { "plain" }
         ),
         axis: "GHR".to_string(),
-        points,
+        points: perceptron_points(runner, cfg, ifconv, &geometries),
     }
 }
 
@@ -228,45 +260,36 @@ pub struct ThresholdPoint {
 /// static branch counts come back with each job result (they are cached
 /// alongside the statistics, so warm-cache sweeps recompile nothing).
 pub fn threshold_sweep(runner: &Runner, cfg: &ExperimentConfig) -> Vec<ThresholdPoint> {
-    let names = names(cfg);
-    let mut out = Vec::new();
-    for threshold in [0.02f64, 0.08, 0.15, 0.30, 0.60] {
-        let jobs: Vec<Job> = names
-            .iter()
-            .flat_map(|&name| {
-                [SchemeKind::Conventional, SchemeKind::Predicate].map(|scheme| Job {
-                    ifconv_threshold: Some(threshold),
-                    ..base_job(cfg, name, true, scheme)
-                })
+    let thresholds = [0.02f64, 0.08, 0.15, 0.30, 0.60];
+    let jobs: Vec<Vec<Job>> = thresholds
+        .iter()
+        .map(|&threshold| {
+            pair_jobs(cfg, true, |job| Job {
+                ifconv_threshold: Some(threshold),
+                ..job
             })
-            .collect();
-        let results = run_jobs(runner, cfg, &jobs);
-        let n = names.len().max(1) as f64;
-        // Both schemes share a binary; count statics once per benchmark.
-        let branches: u64 = results
-            .iter()
-            .step_by(2)
-            .map(|r| r.static_cond_branches)
-            .sum();
-        let conv_sum: f64 = results
-            .iter()
-            .step_by(2)
-            .map(|r| r.stats.misprediction_rate())
-            .sum();
-        let pred_sum: f64 = results
-            .iter()
-            .skip(1)
-            .step_by(2)
-            .map(|r| r.stats.misprediction_rate())
-            .sum();
-        out.push(ThresholdPoint {
-            threshold,
-            branches_left: branches as f64 / n,
-            conventional: conv_sum / n,
-            predicate: pred_sum / n,
-        });
-    }
-    out
+        })
+        .collect();
+    thresholds
+        .iter()
+        .zip(run_points(runner, cfg, &jobs))
+        .map(|(&threshold, results)| {
+            let n = (results.len() / 2).max(1) as f64;
+            // Both schemes share a binary; count statics once per benchmark.
+            let branches: u64 = results
+                .iter()
+                .step_by(2)
+                .map(|r| r.static_cond_branches)
+                .sum();
+            let (conventional, predicate) = pair_rates(&results);
+            ThresholdPoint {
+                threshold,
+                branches_left: branches as f64 / n,
+                conventional,
+                predicate,
+            }
+        })
+        .collect()
 }
 
 /// Renders the threshold sweep.
@@ -312,39 +335,27 @@ pub fn threshold_json(points: &[ThresholdPoint]) -> Json {
 /// binaries (where correlation through compare history is the main
 /// effect).
 pub fn repair_ablation(runner: &Runner, cfg: &ExperimentConfig) -> Sweep {
-    let names = names(cfg);
-    let mut points = Vec::new();
-    for (label, repair) in [("with repair", true), ("no repair", false)] {
-        let mut core = cfg.core;
-        core.history_repair = repair;
-        let jobs: Vec<Job> = names
-            .iter()
-            .flat_map(|&name| {
-                [SchemeKind::Conventional, SchemeKind::Predicate].map(|scheme| Job {
-                    core,
-                    ..base_job(cfg, name, true, scheme)
-                })
-            })
-            .collect();
-        let results = run_jobs(runner, cfg, &jobs);
-        let n = names.len().max(1) as f64;
-        let conv_sum: f64 = results
-            .iter()
-            .step_by(2)
-            .map(|r| r.stats.misprediction_rate())
-            .sum();
-        let pred_sum: f64 = results
-            .iter()
-            .skip(1)
-            .step_by(2)
-            .map(|r| r.stats.misprediction_rate())
-            .sum();
-        points.push(SweepPoint {
-            label: label.to_string(),
-            conventional: conv_sum / n,
-            predicate: pred_sum / n,
-        });
-    }
+    let variants = [("with repair", true), ("no repair", false)];
+    let jobs: Vec<Vec<Job>> = variants
+        .iter()
+        .map(|&(_, repair)| {
+            let mut core = cfg.core;
+            core.history_repair = repair;
+            pair_jobs(cfg, true, |job| Job { core, ..job })
+        })
+        .collect();
+    let points = variants
+        .iter()
+        .zip(run_points(runner, cfg, &jobs))
+        .map(|(&(label, _), results)| {
+            let (conventional, predicate) = pair_rates(&results);
+            SweepPoint {
+                label: label.to_string(),
+                conventional,
+                predicate,
+            }
+        })
+        .collect();
     Sweep {
         title: "History-repair ablation (if-converted binaries)".to_string(),
         axis: "repair".to_string(),
@@ -418,6 +429,40 @@ mod tests {
             "sampled repair ablation flips the conclusion: sampled {:?} vs full {:?}",
             s.points,
             full.points
+        );
+    }
+
+    #[test]
+    fn each_sweep_captures_each_stream_once() {
+        let cfg = ExperimentConfig {
+            commits: 4_000,
+            profile_steps: 20_000,
+            only: vec!["gzip".into(), "twolf".into()],
+            ..ExperimentConfig::default()
+        };
+        // Captures one sweep makes on a fresh runner, which must hold none
+        // of them once the sweep returns.
+        let captures = |name: &str, sweep: &dyn Fn(&Runner)| {
+            let runner = Runner::new(ppsim_runner::RunnerOptions {
+                jobs: 2,
+                cache: false,
+                ..ppsim_runner::RunnerOptions::default()
+            });
+            sweep(&runner);
+            assert_eq!(runner.live_streams(), 0, "{name} holds no capture after");
+            runner.telemetry().captures
+        };
+        // Two programs, one binary each — five per program for the
+        // threshold sweep, which compiles one binary per threshold.
+        assert_eq!(captures("size", &|r| drop(size_sweep(r, &cfg, false))), 2);
+        assert_eq!(
+            captures("history", &|r| drop(history_sweep(r, &cfg, true))),
+            2
+        );
+        assert_eq!(captures("repair", &|r| drop(repair_ablation(r, &cfg))), 2);
+        assert_eq!(
+            captures("threshold", &|r| drop(threshold_sweep(r, &cfg))),
+            10
         );
     }
 

@@ -161,11 +161,20 @@ impl UnitSet {
     #[cold]
     fn advance(&mut self, c: u64) {
         let new_base = c + 1 - UNIT_WINDOW;
-        if new_base - self.base >= UNIT_WINDOW {
+        let vacated = new_base - self.base;
+        if vacated >= UNIT_WINDOW {
             self.booked.fill(0);
         } else {
-            for cycle in self.base..new_base {
-                self.booked[(cycle & (UNIT_WINDOW - 1)) as usize] = 0;
+            // The vacated cycles `[base, new_base)` are one run of ring
+            // slots, split in two where it wraps past the end.
+            let start = (self.base & (UNIT_WINDOW - 1)) as usize;
+            let end = start + vacated as usize;
+            let ring = self.booked.len();
+            if end <= ring {
+                self.booked[start..end].fill(0);
+            } else {
+                self.booked[start..].fill(0);
+                self.booked[..end - ring].fill(0);
             }
         }
         self.base = new_base;
@@ -402,6 +411,89 @@ mod tests {
         // free again.
         let aliased = (far + 1 - UNIT_WINDOW).next_multiple_of(UNIT_WINDOW);
         assert_eq!(u.issue(aliased), aliased);
+    }
+
+    /// [`UnitSet`] with the window slide written slot by slot: one masked
+    /// store per vacated cycle.
+    struct ReferenceUnits {
+        n: u8,
+        booked: Vec<u8>,
+        base: u64,
+    }
+
+    impl ReferenceUnits {
+        fn issue(&mut self, ready: u64) -> u64 {
+            let mut c = ready;
+            loop {
+                if c >= self.base + UNIT_WINDOW {
+                    let new_base = c + 1 - UNIT_WINDOW;
+                    for cycle in self.base..new_base.min(self.base + UNIT_WINDOW) {
+                        self.booked[(cycle & (UNIT_WINDOW - 1)) as usize] = 0;
+                    }
+                    self.base = new_base;
+                }
+                let slot = (c & (UNIT_WINDOW - 1)) as usize;
+                if self.booked[slot] < self.n {
+                    self.booked[slot] += 1;
+                    return c;
+                }
+                c += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn unit_set_matches_a_slot_by_slot_reference() {
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        // Slides seen: inside the window without wrapping, across the
+        // ring's wrap, and by UNIT_WINDOW or more.
+        let (mut inside, mut wrapping, mut whole) = (0, 0, 0);
+        for n in [1u8, 2, 4] {
+            let mut units = UnitSet::new(n as usize);
+            let mut reference = ReferenceUnits {
+                n,
+                booked: vec![0; UNIT_WINDOW as usize],
+                base: 0,
+            };
+            for step in 0..3_000 {
+                let top = units.base + UNIT_WINDOW - 1;
+                // Mostly bookings inside the window, with slides of every
+                // size past its top.
+                let ready = match next() % 8 {
+                    0 => top + 1 + next() % 64,
+                    1 => top + 1 + next() % UNIT_WINDOW,
+                    2 => top + UNIT_WINDOW + next() % (2 * UNIT_WINDOW),
+                    _ => top - next() % 256,
+                };
+                if ready > top {
+                    let vacated = ready - top;
+                    if vacated >= UNIT_WINDOW {
+                        whole += 1;
+                    } else if (units.base & (UNIT_WINDOW - 1)) + vacated > UNIT_WINDOW {
+                        wrapping += 1;
+                    } else {
+                        inside += 1;
+                    }
+                }
+                assert_eq!(
+                    units.issue(ready),
+                    reference.issue(ready),
+                    "n={n} step {step}"
+                );
+                assert_eq!(units.base, reference.base, "n={n} step {step}");
+                assert!(*units.booked == reference.booked[..], "n={n} step {step}");
+            }
+        }
+        assert!(
+            inside > 100 && wrapping > 10 && whole > 100,
+            "{inside}/{wrapping}/{whole}"
+        );
     }
 
     #[test]

@@ -380,6 +380,7 @@ fn parse_entry(text: &str, canon: &str) -> Option<JobResult> {
         capture_micros: times[2],
         sim_micros: times[3],
         trace_memo_hit: false,
+        derived: false,
     })
 }
 
@@ -635,7 +636,7 @@ mod tests {
             (601, 602, 603, 604),
             "v4 entries round-trip the phase timings"
         );
-        assert!(!loaded.trace_memo_hit, "a disk hit is not a memo hit");
+        assert!(!loaded.trace_memo_hit, "a disk hit replays no capture");
         assert_eq!(
             loaded.stats.metrics().to_json().to_string(),
             r.stats.metrics().to_json().to_string(),

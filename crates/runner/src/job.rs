@@ -291,14 +291,18 @@ pub struct JobResult {
     /// Wall time of the compile phase (0 for cache hits and when the
     /// compile memo already held the binary).
     pub compile_micros: u64,
-    /// Wall time of the trace-capture phase (0 for cache hits, for
-    /// trace-memo hits and for external traces).
+    /// Wall time of the trace-capture phase (0 for cache hits, for cells
+    /// that replayed another cell's capture and for external traces).
     pub capture_micros: u64,
     /// Wall time of the simulate phase (0 for cache hits).
     pub sim_micros: u64,
-    /// Whether the job's capture came from the in-process memo (always
-    /// `false` for cache hits and external traces).
+    /// Whether the job replayed a capture another cell made (always
+    /// `false` for cache hits, derived results and external traces).
     pub trace_memo_hit: bool,
+    /// Whether the result was derived from the simulation of its shadow
+    /// twin in the same grid rather than simulated (see
+    /// `Runner::run_grid`); its times are 0.
+    pub derived: bool,
 }
 
 #[cfg(test)]

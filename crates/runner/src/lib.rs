@@ -2,13 +2,14 @@
 //!
 //! The runner owns the path from "a grid of experiment cells" to "a vector
 //! of results": it probes the on-disk cache, memoizes compilation per
-//! (benchmark, compile-flags) and trace capture per stream, fans cache
-//! misses across a deterministic work-stealing thread pool one cell per
-//! job, stores fresh results back, and assembles everything in canonical
-//! grid order. Reports built from a grid are byte-identical for any
-//! `--jobs N` and for cold vs. warm caches; only the telemetry (wall
-//! times, hit counts) differs, and that never enters the deterministic
-//! report stream.
+//! (benchmark, compile-flags), captures each stream once and holds the
+//! capture only while queued cells still need it, fans cache misses
+//! across a deterministic work-stealing thread pool one cell per job,
+//! stores fresh results back, and assembles everything in canonical grid
+//! order. Reports built from a grid are byte-identical for any `--jobs N`
+//! and for cold vs. warm caches; only the telemetry (wall times, hit
+//! counts) differs, and that never enters the deterministic report
+//! stream.
 //!
 //! ```text
 //! Vec<Job> ──cache probe──▶ misses ──pool──▶ simulate ──store──▶
@@ -28,7 +29,7 @@ pub use ppsim_obs::json;
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use ppsim_compiler::{compile, spec2000_suite, CompileOptions, Compiled, WorkloadSpec};
@@ -150,21 +151,34 @@ impl RunnerOptions {
 pub struct Telemetry {
     /// Jobs requested.
     pub jobs_total: u64,
-    /// Jobs actually simulated (cache misses).
+    /// Jobs computed rather than read from the cache (cache misses):
+    /// simulated, or derived from a simulated shadow twin
+    /// ([`Telemetry::jobs_derived`] of them). So `jobs_run + cache_hits
+    /// == jobs_total`, and every job counted here was stored.
     pub jobs_run: u64,
+    /// Cache misses derived from their shadow twin's simulation in the
+    /// same grid instead of simulated (see [`Runner::run_grid`]). They
+    /// count in [`Telemetry::jobs_run`] and add no [`Telemetry::per_job`]
+    /// row, time or capture.
+    pub jobs_derived: u64,
     /// Jobs served from the on-disk cache.
     pub cache_hits: u64,
     /// Wall time of simulated jobs, summed (µs).
     pub wall_micros_total: u64,
-    /// Fresh trace captures performed (one per (binary, budget) key).
+    /// Fresh trace captures performed: one per (binary, budget) stream
+    /// while cells are queued on it, so a grid captures each of its
+    /// streams once and a later grid captures them again.
     pub captures: u64,
-    /// Simulated jobs whose capture came from the in-process memo.
+    /// Simulated jobs that replayed a capture another cell made: a cell
+    /// of the same grid, or of a grid running at the same time that
+    /// still had cells queued on the stream.
     pub trace_memo_hits: u64,
     /// Wall time spent capturing traces, summed (µs).
     pub capture_micros_total: u64,
-    /// Entries evicted (least recently used first) from the in-process
-    /// memos (compile, trace) by their size caps — a grid over more than
-    /// 32 streams, or a long-lived runner (`ppsim serve`).
+    /// Binaries evicted (least recently used first) from the in-process
+    /// compile memo by its size cap — a long-lived runner (`ppsim serve`)
+    /// that has compiled more than 256 binaries. Captured traces are
+    /// never memoized, so they are never evicted.
     pub memo_evictions: u64,
     /// Fused lane-parallel passes executed. Always 0: every cell runs as
     /// its own pool job. The field (and its `fused_passes` JSON key)
@@ -177,9 +191,9 @@ pub struct Telemetry {
 }
 
 /// Wall-time phases of one simulated job: compilation (0 when the memo
-/// already held the binary), trace capture (0 on a trace-memo hit or for
-/// an external trace), simulation, and everything else (cache store,
-/// bookkeeping) folded into the total.
+/// already held the binary), trace capture (0 when another cell captured
+/// the stream, or for an external trace), simulation, and everything
+/// else (cache store, bookkeeping) folded into the total.
 #[derive(Clone, Debug, Default)]
 pub struct JobTiming {
     /// The job's [`Job::label`].
@@ -203,6 +217,9 @@ impl Telemetry {
         for (job, r) in jobs.iter().zip(results) {
             if r.from_cache {
                 self.cache_hits += 1;
+            } else if r.derived {
+                self.jobs_run += 1;
+                self.jobs_derived += 1;
             } else {
                 self.jobs_run += 1;
                 self.wall_micros_total += r.wall_micros;
@@ -234,9 +251,9 @@ impl Telemetry {
         0.0
     }
 
-    /// Fraction of capture lookups served from the memo
-    /// (`trace_memo_hits / (trace_memo_hits + captures)`; 0 when no
-    /// benchmark job ran).
+    /// Fraction of simulated benchmark jobs that replayed another cell's
+    /// capture (`trace_memo_hits / (trace_memo_hits + captures)`; 0 when
+    /// no benchmark job ran).
     pub fn trace_memo_hit_rate(&self) -> f64 {
         let lookups = self.trace_memo_hits + self.captures;
         if lookups == 0 {
@@ -251,6 +268,7 @@ impl Telemetry {
         Json::obj()
             .field("jobs_total", self.jobs_total)
             .field("jobs_run", self.jobs_run)
+            .field("jobs_derived", self.jobs_derived)
             .field("cache_hits", self.cache_hits)
             .field("wall_micros_total", self.wall_micros_total)
             .field("captures", self.captures)
@@ -281,9 +299,11 @@ impl Telemetry {
     /// One-line human summary (stderr-friendly).
     pub fn summary(&self) -> String {
         format!(
-            "{} jobs: {} simulated, {} from cache, {:.2}s simulation time",
+            "{} jobs: {} simulated, {} derived from a shadow twin, {} from cache, \
+             {:.2}s simulation time",
             self.jobs_total,
-            self.jobs_run,
+            self.jobs_run - self.jobs_derived,
+            self.jobs_derived,
             self.cache_hits,
             self.wall_micros_total as f64 / 1e6,
         )
@@ -311,15 +331,95 @@ impl CompileKey {
     }
 }
 
-/// Trace memo key: the binary identity plus the capture budget. Jobs
-/// with different commit budgets need different capture lengths, so the
-/// budget is part of the key (in practice a sweep uses one budget, so
-/// every cell of a benchmark shares one capture; a sampled sweep's cells
-/// all share one capture spanning the last window's end).
+/// Identity of a captured stream: the binary plus the capture length.
+/// Jobs with different commit budgets need different capture lengths, so
+/// the budget is part of the key (a sweep uses one budget, so every cell
+/// of a binary shares one capture; a sampled grid's windows all share one
+/// capture spanning the last window's end).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct TraceKey {
     compile: CompileKey,
     steps: u64,
+}
+
+/// The stream a cell replays.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum Stream {
+    /// A registered external trace, by content hash.
+    External(u64),
+    /// A capture of the job's binary.
+    Capture(TraceKey),
+}
+
+impl Stream {
+    fn of(job: &Job) -> Stream {
+        match job.trace {
+            Some(id) => Stream::External(id.content),
+            None => Stream::Capture(TraceKey {
+                compile: CompileKey::of(job),
+                steps: job.sample.map_or(job.commits, |slice| slice.spec.span()),
+            }),
+        }
+    }
+}
+
+/// A captured stream that queued cells still need.
+struct LiveStream {
+    /// Cells holding a [`Claim`] on the stream.
+    pending: usize,
+    /// The capture, made by the first of those cells to run.
+    trace: Arc<OnceLock<Arc<TraceBuffer>>>,
+}
+
+/// The live-stream table: captures keyed by stream, each removed when
+/// the last cell claiming it finishes.
+type LiveStreams = Mutex<HashMap<TraceKey, LiveStream>>;
+
+/// One queued cell's hold on its stream's capture. Dropping it — when
+/// the cell finishes, when its job panics, or with the grid for a cell
+/// that never ran — releases the hold, and the last release removes the
+/// stream from the table, so nothing pins a capture past its cells.
+struct Claim<'r> {
+    live: &'r LiveStreams,
+    key: TraceKey,
+    trace: Arc<OnceLock<Arc<TraceBuffer>>>,
+}
+
+impl Claim<'_> {
+    /// The claimed stream's capture of `compiled`, made now if no other
+    /// cell has made it. Yields `(trace, capture_micros, replayed)`:
+    /// `capture_micros` is nonzero only for the cell that captured. Full
+    /// runs capture `job.commits` records; sampled runs capture the
+    /// schedule's span once and window into it.
+    fn capture(&self, compiled: &Compiled) -> (Arc<TraceBuffer>, u64, bool) {
+        let mut capture_micros = 0u64;
+        let mut fresh = false;
+        let trace = self
+            .trace
+            .get_or_init(|| {
+                fresh = true;
+                let started = Instant::now();
+                let buf = TraceBuffer::capture(&compiled.program, self.key.steps)
+                    .unwrap_or_else(|e| panic!("functional machine died: {e}"));
+                capture_micros = started.elapsed().as_micros() as u64;
+                Arc::new(buf)
+            })
+            .clone();
+        (trace, capture_micros, !fresh)
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        // This runs while a failed job unwinds, so it must not panic.
+        let mut live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(stream) = live.get_mut(&self.key) {
+            stream.pending -= 1;
+            if stream.pending == 0 {
+                live.remove(&self.key);
+            }
+        }
+    }
 }
 
 /// One sampled grid cell after aggregation: the merged estimate plus the
@@ -341,13 +441,14 @@ pub struct Runner {
     suite: Vec<WorkloadSpec>,
     /// Per-key compile memo: compile once per binary.
     compiled: Mutex<Memo<CompileKey, Arc<Compiled>>>,
-    /// Per-(binary, budget) captured-trace memo: capture once, replay
-    /// from every cell.
-    traces: Mutex<Memo<TraceKey, Arc<TraceBuffer>>>,
+    /// Captures that queued cells still need: the first cell of a stream
+    /// captures it, every other cell claiming it replays that capture,
+    /// and the last one to finish drops it.
+    live: LiveStreams,
     /// Externally supplied trace streams, keyed by content hash (see
-    /// [`Runner::register_trace`]). Unlike the capture memo these are
-    /// provided, not derived, so they are never evicted: the runner
-    /// cannot recreate them.
+    /// [`Runner::register_trace`]). Unlike captures these are provided,
+    /// not derived, so they are held for the runner's lifetime: the
+    /// runner cannot recreate them.
     ext_traces: Mutex<HashMap<u64, Arc<TraceBuffer>>>,
     telemetry: Mutex<Telemetry>,
 }
@@ -370,7 +471,7 @@ impl Runner {
             cache,
             suite: spec2000_suite(),
             compiled: Mutex::new(Memo::new(Self::COMPILE_MEMO_CAP)),
-            traces: Mutex::new(Memo::new(Self::TRACE_MEMO_CAP)),
+            live: Mutex::new(HashMap::new()),
             ext_traces: Mutex::new(HashMap::new()),
             telemetry: Mutex::new(Telemetry::default()),
         }
@@ -433,23 +534,42 @@ impl Runner {
         self.cache.as_ref()?.load(job)
     }
 
+    /// Captured streams the runner holds right now: streams whose first
+    /// queued cell has captured them and whose last has not finished. It
+    /// reads 0 whenever no grid is running.
+    pub fn live_streams(&self) -> usize {
+        self.live
+            .lock()
+            .expect("live-stream lock poisoned")
+            .values()
+            .filter(|s| s.trace.get().is_some())
+            .count()
+    }
+
     /// Runs a grid of jobs and returns results in grid order.
     ///
     /// Cache hits are resolved serially up front (file reads — not worth
     /// threading); each miss is one pool job, and misses are scheduled
-    /// stream by stream so each capture serves its cells back to back.
-    /// Results are assembled by grid index, so the output order — and any
-    /// report rendered from it — is independent of worker count and
-    /// scheduling.
+    /// stream by stream so each capture serves its cells back to back and
+    /// is dropped when its last cell finishes. A miss whose twin with the
+    /// shadow predictor (`shadow: true`, every other input equal) also
+    /// misses is not scheduled: the shadow predictor only observes, so
+    /// the twin's statistics with `shadow_mispredicts` and
+    /// `early_resolved_saves` zeroed are this cell's, and they are stored
+    /// under this cell's own key. Results are assembled by grid index, so
+    /// the output order — and any report rendered from it — is
+    /// independent of worker count and scheduling.
     pub fn run_grid(&self, jobs: &[Job]) -> Vec<JobResult> {
         self.run_grid_reporting(jobs, &|_, _| {})
     }
 
     /// [`Runner::run_grid`], reporting `progress(resolved, total)` over
     /// the grid's cells: once after the cache probe, with the hits
-    /// resolved, then once per simulated cell as the pool finishes it.
-    /// Workers count and report under one lock, so `resolved` never goes
-    /// backwards and the last report reads `resolved == total`.
+    /// resolved, then once per simulated cell as the pool finishes it (a
+    /// cell derived from a shadow twin resolves with its twin). Workers
+    /// count and report under one lock, so `resolved` never goes
+    /// backwards and the last report reads `resolved == total`. A
+    /// simulated cell releases its stream before it reports.
     pub fn run_grid_reporting(
         &self,
         jobs: &[Job],
@@ -461,28 +581,56 @@ impl Runner {
             None => vec![None; jobs.len()],
         };
 
-        // 2. Simulate the misses, one cell per pool job.
-        let order = Self::stream_order(jobs, &slots);
+        // 2. Simulate the misses, one cell per pool job, each holding a
+        //    claim on its stream until it finishes; cells with a missing
+        //    shadow twin wait for the twin instead.
+        let twins = Self::shadow_twins(jobs, &slots);
+        let mut resolves = vec![1u64; jobs.len()];
+        for &(_, twin) in &twins {
+            resolves[twin] += 1;
+        }
+        let order = Self::stream_order(jobs, &slots, &twins);
+        let claims = self.claim_streams(jobs, &order);
         let total = jobs.len() as u64;
-        let hits = total - order.len() as u64;
+        let hits = total - (order.len() + twins.len()) as u64;
         progress(hits, total);
         let resolved = Mutex::new(hits);
         let fresh = pool::run_indexed(order.len(), self.opts.effective_jobs(), |k| {
-            let result = self.execute(&jobs[order[k]]);
+            let claim = claims[k].lock().expect("claim lock poisoned").take();
+            let result = self.execute(&jobs[order[k]], claim.as_ref());
+            drop(claim);
             let mut resolved = resolved.lock().expect("progress lock poisoned");
-            *resolved += 1;
+            *resolved += resolves[order[k]];
             progress(*resolved, total);
             result
         });
 
-        // 3. Store fresh results under their canonical keys and fill
-        //    their slots.
-        for (&i, result) in order.iter().zip(fresh) {
+        // 3. Store fresh and derived results under their canonical keys
+        //    and fill their slots.
+        let store = |i: usize, result: &JobResult| {
             if let Some(cache) = &self.cache {
                 // A failed store is not fatal — the result is still
                 // good, the next run just recomputes.
-                let _ = cache.store(&jobs[i], &result);
+                let _ = cache.store(&jobs[i], result);
             }
+        };
+        for (&i, result) in order.iter().zip(fresh) {
+            store(i, &result);
+            slots[i] = Some(result);
+        }
+        for &(i, twin) in &twins {
+            let simulated = slots[twin].as_ref().expect("twins simulate");
+            let mut stats = simulated.stats.clone();
+            stats.shadow_mispredicts = 0;
+            stats.early_resolved_saves = 0;
+            let result = JobResult {
+                stats,
+                static_insns: simulated.static_insns,
+                static_cond_branches: simulated.static_cond_branches,
+                derived: true,
+                ..JobResult::default()
+            };
+            store(i, &result);
             slots[i] = Some(result);
         }
 
@@ -497,32 +645,85 @@ impl Runner {
         results
     }
 
-    /// Orders the cache misses (the empty `slots`) stream by stream:
-    /// cells sharing a stream identity — binary, commit budget, sample
-    /// slice, external trace — become adjacent, streams in order of first
-    /// appearance and cells in grid order within each. The pool seeds
-    /// each worker with a contiguous run of this order, so a stream's
-    /// cells replay back to back from one capture while it is among the
-    /// trace memo's newest entries. Plan order would scatter them: the
-    /// full report returns to each if-converted binary in Figures 6a and
-    /// 6b and the IPC ablation.
-    fn stream_order(jobs: &[Job], slots: &[Option<JobResult>]) -> Vec<usize> {
-        let mut streams: Vec<(CompileKey, u64, Option<SampleSlice>, Option<TraceId>)> = Vec::new();
+    /// Pairs each cache miss without the shadow predictor with a missing
+    /// twin that differs from it only in carrying one, as
+    /// `(cell, twin)`. The full report has such a pair per program: the
+    /// Figure 6a `predicate/selective` cell and its Figure 6b twin.
+    fn shadow_twins(jobs: &[Job], slots: &[Option<JobResult>]) -> Vec<(usize, usize)> {
+        let missing = |i: &usize| slots[*i].is_none();
+        let shadowed: Vec<usize> = (0..jobs.len())
+            .filter(missing)
+            .filter(|&i| jobs[i].shadow)
+            .collect();
+        if shadowed.is_empty() {
+            return Vec::new();
+        }
+        (0..jobs.len())
+            .filter(missing)
+            .filter(|&i| !jobs[i].shadow)
+            .filter_map(|i| {
+                let twin = Job {
+                    shadow: true,
+                    ..jobs[i].clone()
+                };
+                shadowed.iter().find(|&&j| jobs[j] == twin).map(|&j| (i, j))
+            })
+            .collect()
+    }
+
+    /// Orders the cache misses (the empty `slots`) that simulate — all
+    /// but the shadow-twin cells — stream by stream: cells replaying one
+    /// stream become adjacent, streams in order of first appearance and
+    /// cells in grid order within each. The pool seeds each worker with a
+    /// contiguous run of this order, so a stream's cells replay back to
+    /// back and its capture is dropped soon after it is made. Plan order
+    /// would scatter them: the full report returns to each if-converted
+    /// binary in Figures 6a and 6b and the IPC ablation.
+    fn stream_order(
+        jobs: &[Job],
+        slots: &[Option<JobResult>],
+        twins: &[(usize, usize)],
+    ) -> Vec<usize> {
         let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of: HashMap<Stream, usize> = HashMap::new();
         for (i, job) in jobs.iter().enumerate() {
-            if slots[i].is_some() {
+            if slots[i].is_some() || twins.iter().any(|&(cell, _)| cell == i) {
                 continue;
             }
-            let key = (CompileKey::of(job), job.commits, job.sample, job.trace);
-            match streams.iter().position(|k| *k == key) {
-                Some(g) => groups[g].push(i),
-                None => {
-                    streams.push(key);
-                    groups.push(vec![i]);
-                }
-            }
+            let g = *group_of.entry(Stream::of(job)).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push(i);
         }
         groups.concat()
+    }
+
+    /// Adds one pending count per cell of `order` that replays a capture
+    /// to its stream's entry in the live-stream table, creating the entry
+    /// (with an empty capture) on first use, and returns each cell's
+    /// [`Claim`] in `order` position (`None` for an external trace). A
+    /// stream another grid already holds is shared, capture included.
+    fn claim_streams(&self, jobs: &[Job], order: &[usize]) -> Vec<Mutex<Option<Claim<'_>>>> {
+        let mut live = self.live.lock().expect("live-stream lock poisoned");
+        order
+            .iter()
+            .map(|&i| {
+                let Stream::Capture(key) = Stream::of(&jobs[i]) else {
+                    return Mutex::new(None);
+                };
+                let stream = live.entry(key.clone()).or_insert_with(|| LiveStream {
+                    pending: 0,
+                    trace: Arc::default(),
+                });
+                stream.pending += 1;
+                Mutex::new(Some(Claim {
+                    live: &self.live,
+                    key,
+                    trace: Arc::clone(&stream.trace),
+                }))
+            })
+            .collect()
     }
 
     /// Runs a single job (grid of one).
@@ -573,6 +774,7 @@ impl Runner {
                 for s in &samples[1..] {
                     aggregate.stats.merge(&s.stats);
                     aggregate.from_cache &= s.from_cache;
+                    aggregate.derived &= s.derived;
                     aggregate.wall_micros += s.wall_micros;
                     aggregate.compile_micros += s.compile_micros;
                     aggregate.capture_micros += s.capture_micros;
@@ -594,33 +796,24 @@ impl Runner {
             .unwrap()
     }
 
-    /// In-process memo size caps, so a long-lived runner (`ppsim serve`)
+    /// Compile-memo size cap, so a long-lived runner (`ppsim serve`)
     /// holds bounded memory. Overflow evicts the least recently used
-    /// entry (see [`Memo`]), which is invisible to results. Traces are
-    /// the big entries (~5 B per captured record), so their cap is the
-    /// tightest; the full report's 44 streams overflow it.
+    /// binary (see [`Memo`]), which is invisible to results.
     const COMPILE_MEMO_CAP: usize = 256;
-    const TRACE_MEMO_CAP: usize = 32;
 
-    /// Looks `key` up in `memo`, counting an eviction in telemetry.
-    fn memo_cell<K: std::hash::Hash + Eq, V>(
-        &self,
-        memo: &Mutex<Memo<K, V>>,
-        key: K,
-    ) -> Arc<OnceLock<V>> {
-        let (cell, evicted) = memo.lock().expect("memo lock poisoned").cell(key);
+    /// Compiles (or returns the memoized binary for) a job's benchmark.
+    fn compiled_for(&self, job: &Job) -> Arc<Compiled> {
+        let (cell, evicted) = self
+            .compiled
+            .lock()
+            .expect("compile memo lock poisoned")
+            .cell(CompileKey::of(job));
         if evicted {
             self.telemetry
                 .lock()
                 .expect("telemetry lock poisoned")
                 .memo_evictions += 1;
         }
-        cell
-    }
-
-    /// Compiles (or returns the memoized binary for) a job's benchmark.
-    fn compiled_for(&self, job: &Job) -> Arc<Compiled> {
-        let cell = self.memo_cell(&self.compiled, CompileKey::of(job));
         cell.get_or_init(|| {
             let spec = self
                 .suite
@@ -641,37 +834,6 @@ impl Runner {
         .clone()
     }
 
-    /// Returns the shared capture of `steps` records for a job's binary,
-    /// capturing it on first use. Yields `(trace, capture_micros,
-    /// memo_hit)`: `capture_micros` is nonzero only for the worker that
-    /// performed the capture. Full runs capture `job.commits` records;
-    /// sampled runs capture the schedule's span once and window into it.
-    fn trace_for(
-        &self,
-        job: &Job,
-        compiled: &Compiled,
-        steps: u64,
-    ) -> (Arc<TraceBuffer>, u64, bool) {
-        let key = TraceKey {
-            compile: CompileKey::of(job),
-            steps,
-        };
-        let cell = self.memo_cell(&self.traces, key);
-        let mut capture_micros = 0u64;
-        let mut fresh = false;
-        let trace = cell
-            .get_or_init(|| {
-                fresh = true;
-                let started = Instant::now();
-                let buf = TraceBuffer::capture(&compiled.program, steps)
-                    .unwrap_or_else(|e| panic!("functional machine died: {e}"));
-                capture_micros = started.elapsed().as_micros() as u64;
-                Arc::new(buf)
-            })
-            .clone();
-        (trace, capture_micros, !fresh)
-    }
-
     /// The simulator options a job's cell axes translate to.
     fn sim_options_for(job: &Job) -> SimOptions {
         let mut opts = SimOptions::new(job.scheme, job.predication)
@@ -688,18 +850,19 @@ impl Runner {
 
     /// Simulates one cell (a cache miss): takes the cell's stream, seeks
     /// one cursor into it and runs. The stream is a registered external
-    /// trace, or the memoized capture of the job's binary — `job.commits`
-    /// records for a full run, the schedule's span for a sampled window.
-    fn execute(&self, job: &Job) -> JobResult {
+    /// trace, or the capture of the job's binary its `claim` holds —
+    /// `job.commits` records for a full run, the schedule's span for a
+    /// sampled window.
+    fn execute(&self, job: &Job, claim: Option<&Claim<'_>>) -> JobResult {
         let started = Instant::now();
         let (trace, compile_micros, capture_micros, trace_memo_hit) = match job.trace {
             Some(id) => (self.ext_trace(id), 0, 0, false),
             None => {
+                let claim = claim.expect("benchmark cells claim their stream");
                 let compiled = self.compiled_for(job);
                 let compile_micros = started.elapsed().as_micros() as u64;
-                let steps = job.sample.map_or(job.commits, |slice| slice.spec.span());
-                let (trace, capture_micros, memo_hit) = self.trace_for(job, &compiled, steps);
-                (trace, compile_micros, capture_micros, memo_hit)
+                let (trace, capture_micros, replayed) = claim.capture(&compiled);
+                (trace, compile_micros, capture_micros, replayed)
             }
         };
         let static_insns = trace.code().len() as u64;
@@ -732,6 +895,7 @@ impl Runner {
             capture_micros,
             sim_micros,
             trace_memo_hit,
+            derived: false,
         }
     }
 }
@@ -796,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_memo_shares_one_capture_across_cells() {
+    fn cells_of_a_stream_share_one_capture() {
         let r = Runner::serial_no_cache();
         let grid = vec![
             tiny(SchemeKind::Conventional),
@@ -804,24 +968,23 @@ mod tests {
             tiny(SchemeKind::PepPa),
         ];
         let out = r.run_grid(&grid);
-        assert_eq!(
-            r.traces.lock().unwrap().len(),
-            1,
-            "one capture, three cells"
-        );
         let t = r.telemetry();
-        assert_eq!(t.captures, 1);
+        assert_eq!(t.captures, 1, "one capture, three cells");
         assert_eq!(t.trace_memo_hits, 2);
         assert!((t.trace_memo_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(
             out.iter().filter(|o| o.trace_memo_hit).count(),
             2,
-            "exactly the two replaying cells report a memo hit"
+            "exactly the two replaying cells report a shared capture"
         );
         assert_eq!(
             out.iter().filter(|o| o.capture_micros > 0).count(),
             1,
             "only the capturing cell is charged capture time"
+        );
+        assert!(
+            r.live.lock().unwrap().is_empty(),
+            "no capture outlives its grid"
         );
     }
 
@@ -834,11 +997,12 @@ mod tests {
         };
         r.run_grid(&[tiny(SchemeKind::Conventional), long]);
         assert_eq!(
-            r.traces.lock().unwrap().len(),
+            r.telemetry().captures,
             2,
             "a longer budget needs its own (longer) capture"
         );
         assert_eq!(r.compiled.lock().unwrap().len(), 1, "but shares the binary");
+        assert!(r.live.lock().unwrap().is_empty());
     }
 
     #[test]
@@ -867,10 +1031,11 @@ mod tests {
             "the invariant survives aggregation"
         );
         assert_eq!(
-            r.traces.lock().unwrap().len(),
+            r.telemetry().captures,
             1,
             "three windows share one span capture"
         );
+        assert!(r.live.lock().unwrap().is_empty());
     }
 
     #[test]
@@ -1129,33 +1294,145 @@ mod tests {
     }
 
     #[test]
-    fn trace_memo_cap_evicts_the_least_recently_used_stream() {
+    fn a_later_grid_captures_the_stream_again() {
         let r = Runner::serial_no_cache();
-        // Distinct commit budgets force distinct trace-memo keys.
-        let budget = |n: usize, scheme| Job {
-            commits: 1_000 + n as u64,
-            ..tiny(scheme)
-        };
-        let cap = Runner::TRACE_MEMO_CAP;
-        let fill: Vec<Job> = (0..cap)
-            .map(|n| budget(n, SchemeKind::Conventional))
-            .collect();
-        r.run_grid(&fill);
-        assert_eq!(r.telemetry().memo_evictions, 0, "exactly full");
-        // Touch stream 0, then overflow: stream 1 is now the oldest.
-        r.run_job(&budget(0, SchemeKind::Predicate));
-        r.run_job(&budget(cap, SchemeKind::Conventional));
-        let t = r.telemetry();
-        assert_eq!(t.memo_evictions, 1, "overflow evicts one entry");
-        assert_eq!(t.captures, cap as u64 + 1);
-        assert_eq!(r.traces.lock().unwrap().len(), cap, "memo stays bounded");
-        let kept = r.run_job(&budget(0, SchemeKind::PepPa));
-        assert!(kept.trace_memo_hit, "the recently used stream survived");
-        let evicted = r.run_job(&budget(1, SchemeKind::Predicate));
+        r.run_grid(&[tiny(SchemeKind::Conventional), tiny(SchemeKind::Predicate)]);
         assert!(
-            !evicted.trace_memo_hit,
-            "the least recently used one did not"
+            r.live.lock().unwrap().is_empty(),
+            "released with its last cell"
         );
-        assert_eq!(r.telemetry().captures, cap as u64 + 2);
+        let again = r.run_job(&tiny(SchemeKind::PepPa));
+        assert!(
+            !again.trace_memo_hit,
+            "nothing kept the first grid's capture"
+        );
+        assert!(again.capture_micros > 0);
+        let t = r.telemetry();
+        assert_eq!(t.captures, 2);
+        assert_eq!(t.memo_evictions, 0);
+        assert_eq!(
+            r.compiled.lock().unwrap().len(),
+            1,
+            "the binary is memoized"
+        );
+    }
+
+    #[test]
+    fn a_panicking_cell_pins_no_stream() {
+        // The unknown benchmark's cell runs first and panics; neither its
+        // claim nor those of the gzip cells that never ran may keep a
+        // stream in the table.
+        let r = Runner::serial_no_cache();
+        let bogus = Job {
+            benchmark: "no-such-benchmark".into(),
+            ..tiny(SchemeKind::Conventional)
+        };
+        let grid = [
+            bogus,
+            tiny(SchemeKind::Conventional),
+            tiny(SchemeKind::Predicate),
+        ];
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.run_grid(&grid)));
+        assert!(run.is_err());
+        assert!(r.live.lock().unwrap().is_empty());
+        assert_eq!(r.run_grid(&grid[1..]).len(), 2, "the runner still works");
+        assert!(r.live.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn streams_stay_live_only_while_cells_are_queued() {
+        let r = Runner::new(RunnerOptions {
+            jobs: 2,
+            cache: false,
+            ..RunnerOptions::default()
+        });
+        // Eight streams (distinct budgets) of three cells each: a stream
+        // whose first cell has reported is still live until its third.
+        let grid: Vec<Job> = (0..8)
+            .flat_map(|n| {
+                SchemeKind::ALL[..3].iter().map(move |&s| Job {
+                    commits: 2_000 + n,
+                    ..tiny(s)
+                })
+            })
+            .collect();
+        let most = Mutex::new(0);
+        r.run_grid_reporting(&grid, &|_, _| {
+            let mut most = most.lock().unwrap();
+            *most = (*most).max(r.live_streams());
+        });
+        let most = most.into_inner().unwrap();
+        assert!((1..=4).contains(&most), "{most} captures held at once");
+        assert_eq!(r.live_streams(), 0);
+        assert_eq!(r.telemetry().captures, 8);
+    }
+
+    #[test]
+    fn shadow_twin_derives_the_plain_cell_at_any_worker_count() {
+        let plain = Job {
+            predication: PredicationModel::Selective,
+            ..tiny(SchemeKind::Predicate)
+        };
+        let twin = Job {
+            shadow: true,
+            ..plain.clone()
+        };
+        let direct = Runner::serial_no_cache().run_job(&plain);
+        assert!(!direct.derived, "a lone cell simulates");
+        for jobs in [1, 2] {
+            let r = Runner::new(RunnerOptions {
+                jobs,
+                cache: false,
+                ..RunnerOptions::default()
+            });
+            let seen = Mutex::new(Vec::new());
+            let out = r.run_grid_reporting(&[plain.clone(), twin.clone()], &|done, total| {
+                seen.lock().unwrap().push((done, total))
+            });
+            assert!(out[0].derived && !out[1].derived, "jobs={jobs}");
+            assert_eq!(
+                out[0].stats, direct.stats,
+                "derived == simulated, jobs={jobs}"
+            );
+            assert_eq!(out[0].static_insns, direct.static_insns);
+            assert_eq!(out[0].static_cond_branches, direct.static_cond_branches);
+            assert!(out[1].stats.shadow_mispredicts > 0, "the twin observes");
+            assert_eq!(
+                seen.into_inner().unwrap(),
+                [(0, 2), (2, 2)],
+                "the derived cell resolves with its twin"
+            );
+            let t = r.telemetry();
+            assert_eq!((t.jobs_total, t.jobs_run, t.jobs_derived), (2, 2, 1));
+            assert_eq!(t.per_job.len(), 1, "only the twin took time");
+            assert_eq!(t.captures, 1);
+        }
+    }
+
+    #[test]
+    fn derived_cells_are_stored_and_read_back_warm() {
+        let dir = std::env::temp_dir().join(format!("ppsim-derived-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = RunnerOptions {
+            jobs: 1,
+            cache_dir: Some(dir.clone()),
+            ..RunnerOptions::default()
+        };
+        let plain = tiny(SchemeKind::Predicate);
+        let twin = Job {
+            shadow: true,
+            ..plain.clone()
+        };
+        let cold = Runner::new(opts.clone()).run_grid(&[plain.clone(), twin]);
+        assert!(cold[0].derived);
+        let warm = Runner::new(opts);
+        let hit = warm.run_job(&plain);
+        assert!(
+            hit.from_cache,
+            "the derived cell was stored under its own key"
+        );
+        assert_eq!(hit.stats, cold[0].stats);
+        assert_eq!(warm.telemetry().jobs_run, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

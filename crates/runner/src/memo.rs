@@ -1,5 +1,6 @@
-//! Bounded in-process memos for the runner's derived artifacts
-//! (compiled binaries, captured traces).
+//! The bounded in-process memo behind the runner's compiled binaries.
+//! (Captured traces are not memoized: the runner holds each only while
+//! queued cells need it.)
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -11,10 +12,8 @@ use std::sync::{Arc, OnceLock};
 /// needing the *same* one derive once.
 ///
 /// Inserting into a full memo evicts the least-recently-looked-up entry.
-/// A stream a worker is partway through was looked up by that worker's
-/// latest cell, so while there are fewer workers than entries it is
-/// among the newest and survives. Holders of an evicted cell keep their
-/// `Arc`, and later lookups re-derive, which results never see.
+/// Holders of an evicted cell keep their `Arc`, and later lookups
+/// re-derive, which results never see.
 pub(crate) struct Memo<K, V> {
     cap: usize,
     /// Lookup counter; each entry remembers the count at its last lookup.

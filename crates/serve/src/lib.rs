@@ -1,9 +1,8 @@
 //! # ppsim-serve — the persistent experiment service
 //!
-//! Batch `ppsim` rebuilds its warm state — the on-disk result cache,
-//! the compile and trace memos — on every invocation and throws it
-//! away at exit. This crate lifts that state into a long-running
-//! daemon: `ppsim serve` owns one [`Runner`](ppsim_core::Runner) for
+//! Batch `ppsim` rebuilds its warm state — the on-disk result cache and
+//! the compile memo — on every invocation and throws it away at exit.
+//! This crate lifts that state into a long-running daemon: `ppsim serve` owns one [`Runner`](ppsim_core::Runner) for
 //! its lifetime and answers experiment requests over a newline-
 //! delimited JSON protocol (see [`protocol`]); `ppsim submit` is the
 //! matching scriptable client (see [`client`]).
@@ -18,9 +17,10 @@
 //! * **Dedup** — concurrent identical requests coalesce onto one
 //!   computation (cells by canonical job key, grid ops by op key).
 //! * **Bounded state** — the disk cache is size-capped (LRU), the
-//!   in-process memos evict their least recently used entry at fixed
-//!   caps, handler threads are bounded by `--max-clients`, and cold
-//!   simulations by `--jobs`.
+//!   compile memo evicts its least recently used binary at a fixed cap,
+//!   a captured trace lives only while queued cells need it, handler
+//!   threads are bounded by `--max-clients`, and cold simulations by
+//!   `--jobs`.
 
 pub mod client;
 pub mod protocol;

@@ -3,9 +3,12 @@
 //!
 //! State ownership (DESIGN.md §8): exactly one [`Runner`] lives for the
 //! daemon's lifetime and owns every piece of warm state — the on-disk
-//! result cache, the compile memo and the per-(binary, budget) trace
-//! memo. Handler threads never hold state of their own; they borrow
-//! `ServerState` and stream events.
+//! result cache and the compile memo. Captured traces are not warm
+//! state: the runner holds each only while queued cells need it, so
+//! requests running at the same time share a capture and a later
+//! request on the same stream captures it again. Handler threads never
+//! hold state of their own; they borrow `ServerState` and stream
+//! events.
 //!
 //! Scheduling is two-lane so cheap requests never queue behind cold
 //! simulations:

@@ -395,12 +395,12 @@ fn fuzzed_request_bytes_never_kill_the_server() {
     server.stop();
 }
 
-/// The `report` op runs the full grid in one pass over more streams
-/// than the trace memo holds (32). The if-converted binaries come back
-/// in Figure 6b and the IPC ablation; each (binary, budget) stream must
-/// still be captured exactly once. A repeat reads each cell from the
-/// disk cache once: it adds one job and one hit per unique cell to the
-/// telemetry, and simulates nothing.
+/// The `report` op runs the full grid in one pass over its 44 streams.
+/// The if-converted binaries come back in Figure 6b and the IPC
+/// ablation; each (binary, budget) stream must still be captured exactly
+/// once, and no capture may outlive the op. A repeat reads each cell
+/// from the disk cache once: it adds one job and one hit per unique cell
+/// to the telemetry, and simulates nothing.
 #[test]
 fn report_captures_each_stream_once() {
     let dir = temp_dir("one-pass");
@@ -424,9 +424,10 @@ fn report_captures_each_stream_once() {
         .iter()
         .map(|j| (j.benchmark.as_str(), j.ifconv))
         .collect();
-    assert!(streams.len() > 32, "{} streams", streams.len());
+    assert_eq!(streams.len(), 44);
     let before = state.runner.telemetry();
     assert_eq!(before.captures, streams.len() as u64);
+    assert_eq!(state.runner.live_streams(), 0);
 
     let (warm, _) = state.run_report(&req, |_, _| {}).expect("report renders");
     assert_eq!(warm, cold);

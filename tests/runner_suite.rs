@@ -238,11 +238,11 @@ fn per_cell_jobs_give_identical_stats_at_any_worker_count() {
 
 #[test]
 fn full_report_grid_captures_each_stream_once() {
-    // The full report spans more (binary, budget) streams than the trace
-    // memo holds (32). Stream-ordered jobs and least-recently-used
-    // eviction must still capture each stream exactly once, even with
-    // two workers each partway through a different stream and one stream
-    // straddling the two workers' chunks.
+    // The full report spans 44 (binary, budget) streams, and Figures 6b
+    // and the IPC ablation return to the if-converted binaries. Stream-
+    // ordered jobs must still capture each stream exactly once, serially
+    // and with two workers each partway through a different stream and
+    // one stream straddling the two workers' chunks.
     let cfg = ExperimentConfig {
         commits: 2_000,
         profile_steps: 20_000,
@@ -253,12 +253,41 @@ fn full_report_grid_captures_each_stream_once() {
         .iter()
         .map(|j| (j.benchmark.as_str(), j.ifconv))
         .collect();
-    assert!(streams.len() > 32, "{} streams", streams.len());
-    let r = runner(2, None);
-    r.run_grid(&jobs);
-    let t = r.telemetry();
-    assert_eq!(t.captures, streams.len() as u64);
-    assert!(t.memo_evictions > 0, "the memo overflowed");
+    assert_eq!(streams.len(), 44);
+    for workers in [1, 2] {
+        let r = runner(workers, None);
+        r.run_grid(&jobs);
+        let t = r.telemetry();
+        assert_eq!(t.captures, streams.len() as u64, "--jobs {workers}");
+        assert_eq!(r.live_streams(), 0, "no capture outlives the grid");
+    }
+}
+
+#[test]
+fn full_report_holds_few_captures_at_once() {
+    // A capture lives from its stream's first cell to its last. Stream
+    // order keeps each worker on one stream at a time, so the full
+    // report never holds more than two captures per worker.
+    let cfg = ExperimentConfig {
+        commits: 2_000,
+        profile_steps: 20_000,
+        ..ExperimentConfig::default()
+    };
+    let jobs = experiments::plan(&cfg, experiments::PlanSpec::FullReport);
+    let workers = 2;
+    let r = runner(workers, None);
+    let most = std::sync::Mutex::new(0);
+    r.run_grid_reporting(&jobs, &|_, _| {
+        let mut most = most.lock().unwrap();
+        *most = (*most).max(r.live_streams());
+    });
+    let most = most.into_inner().unwrap();
+    assert!(
+        (1..=2 * workers).contains(&most),
+        "{most} captures held at once"
+    );
+    assert_eq!(r.live_streams(), 0);
+    assert_eq!(r.telemetry().captures, 44);
 }
 
 #[test]
