@@ -35,9 +35,8 @@ use ppsim_isa::{ExecInfo, ExecRecord, Insn, InsnSource, Machine, Program};
 use ppsim_mem::{Hierarchy, HierarchyConfig, HierarchyStats};
 use ppsim_obs::{EventKind, EventRing, StallBucket, TraceEvent};
 use ppsim_predictors::{
-    BranchPredictor, Gshare, IdealPerceptron, IdealPredicatePredictor, PepPa, PerceptronConfig,
-    PerceptronPredictor, PredicatePredictor, Prediction, PredictorSet, SchemeSpec, Tage,
-    TagePredicatePredictor,
+    BranchPredictor, BranchRole, PerceptronConfig, PerceptronPredictor, PredicateRole, Prediction,
+    SchemeSpec,
 };
 
 use crate::config::{CoreConfig, PredicationModel};
@@ -179,62 +178,6 @@ fn lap<const ON: bool>(last: &mut Option<Instant>, acc: &mut u64) {
     }
 }
 
-enum Predictors {
-    Conventional {
-        l1: Gshare,
-        l2: PerceptronPredictor,
-    },
-    PepPa {
-        p: PepPa,
-        /// (execute cycle, predicate register, value) — applied in time
-        /// order before each prediction, modelling the out-of-order
-        /// predicate-register writes that mislead PEP-PA on an OoO core.
-        events: BinaryHeap<Reverse<(u64, u8, bool)>>,
-    },
-    Predicate {
-        l1: Gshare,
-        pp: PredicatePredictor,
-    },
-    IdealConventional {
-        p: IdealPerceptron,
-    },
-    IdealPredicate {
-        l1: Gshare,
-        pp: IdealPredicatePredictor,
-    },
-    /// TAGE at fetch (optionally with the H2P side table); single-level,
-    /// like PEP-PA, but with no predicate-write feedback.
-    Tage {
-        t: Tage,
-    },
-    /// TAGE-indexed predicate predictor: gshare at fetch, the tagged
-    /// compare-PC PVT supplying predicate predictions.
-    TagePredicate {
-        l1: Gshare,
-        pp: TagePredicatePredictor,
-    },
-}
-
-impl Predictors {
-    /// Wraps the factory-built predictor structures with the timing-model
-    /// bookkeeping the pipeline keeps alongside them (PEP-PA's
-    /// out-of-order predicate-write replay queue).
-    fn from_set(set: PredictorSet) -> Self {
-        match set {
-            PredictorSet::Conventional { l1, l2 } => Predictors::Conventional { l1, l2 },
-            PredictorSet::PepPa { p } => Predictors::PepPa {
-                p,
-                events: BinaryHeap::new(),
-            },
-            PredictorSet::Predicate { l1, pp } => Predictors::Predicate { l1, pp },
-            PredictorSet::IdealConventional { p } => Predictors::IdealConventional { p },
-            PredictorSet::IdealPredicate { l1, pp } => Predictors::IdealPredicate { l1, pp },
-            PredictorSet::Tage { t } => Predictors::Tage { t },
-            PredictorSet::TagePredicate { l1, pp } => Predictors::TagePredicate { l1, pp },
-        }
-    }
-}
-
 /// The simulator: instruction source + timing model + predictors.
 ///
 /// The source `S` feeds the committed-stream records the timing model
@@ -247,9 +190,16 @@ pub struct Simulator<S: InsnSource = Machine> {
     source: S,
     hierarchy: Hierarchy,
     cfg: CoreConfig,
-    scheme: SchemeSpec,
     predication: PredicationModel,
-    predictors: Predictors,
+    // The paper's two predictor roles: branch at fetch (and the override
+    // at rename), predicate at compares (predicate schemes only).
+    branch: BranchRole,
+    predicate: Option<PredicateRole>,
+    // PEP-PA's predicate-register writes, (execute cycle, register,
+    // value), replayed in time order before each fetch prediction: the
+    // out-of-order writes that mislead PEP-PA on an OoO core. `None` for
+    // branch roles that read no predicate writes.
+    pred_writes: Option<BinaryHeap<Reverse<(u64, u8, bool)>>>,
     shadow: Option<PerceptronPredictor>,
     // Check-harness knobs: oracle-exact ideal-conventional predictions,
     // and a deliberate predictor fault to prove the oracle catches one.
@@ -362,15 +312,16 @@ impl<S: InsnSource> Simulator<S> {
     /// ([`SimOptions::build_source`] is the public entry point).
     pub(crate) fn from_source(source: S, opts: SimOptions) -> Self {
         let cfg = opts.core;
-        let predictors = Predictors::from_set(opts.scheme.build(opts.perceptron, opts.predicate));
+        let (branch, predicate) = opts.scheme.build(opts.perceptron, opts.predicate);
         let decode = DecodeTable::new(source.code());
         let code_slots = decode.len();
         Simulator {
             source,
             hierarchy: Hierarchy::new(HierarchyConfig::paper()),
-            scheme: opts.scheme,
             predication: opts.predication,
-            predictors,
+            pred_writes: branch.reads_predicate_writes().then(BinaryHeap::new),
+            branch,
+            predicate,
             shadow: opts
                 .shadow
                 .then(|| PerceptronPredictor::new(PerceptronConfig::paper_148kb())),
@@ -503,14 +454,9 @@ impl<S: InsnSource> Simulator<S> {
     /// isolation check; never read on measurement runs.
     #[doc(hidden)]
     pub fn l1_ghr(&self) -> Option<u64> {
-        match &self.predictors {
-            Predictors::Conventional { l1, .. }
-            | Predictors::Predicate { l1, .. }
-            | Predictors::IdealPredicate { l1, .. }
-            | Predictors::TagePredicate { l1, .. } => Some(l1.ghr_value()),
-            Predictors::PepPa { .. }
-            | Predictors::IdealConventional { .. }
-            | Predictors::Tage { .. } => None,
+        match &self.branch {
+            BranchRole::Gshare { l1, .. } => Some(l1.ghr_value()),
+            _ => None,
         }
     }
 
@@ -519,14 +465,8 @@ impl<S: InsnSource> Simulator<S> {
     /// isolation check; never called on measurement runs.
     #[doc(hidden)]
     pub fn set_l1_ghr(&mut self, value: u64) {
-        match &mut self.predictors {
-            Predictors::Conventional { l1, .. }
-            | Predictors::Predicate { l1, .. }
-            | Predictors::IdealPredicate { l1, .. }
-            | Predictors::TagePredicate { l1, .. } => l1.set_ghr_value(value),
-            Predictors::PepPa { .. }
-            | Predictors::IdealConventional { .. }
-            | Predictors::Tage { .. } => {}
+        if let BranchRole::Gshare { l1, .. } = &mut self.branch {
+            l1.set_ghr_value(value);
         }
     }
 
@@ -563,31 +503,21 @@ impl<S: InsnSource> Simulator<S> {
         self.run(measure)
     }
 
-    /// First-level (fetch-time) direction prediction for a conditional
-    /// branch; `None` when the scheme has no first level (ideal
-    /// conventional).
-    fn l1_predict(&mut self, pc: u64, guard: u8, fetch: u64) -> Option<Prediction> {
-        match &mut self.predictors {
-            Predictors::Conventional { l1, .. }
-            | Predictors::Predicate { l1, .. }
-            | Predictors::IdealPredicate { l1, .. }
-            | Predictors::TagePredicate { l1, .. } => Some(l1.predict(pc, guard)),
-            Predictors::Tage { t } => Some(t.predict(pc, guard)),
-            Predictors::PepPa { p, events } => {
-                // Apply predicate-register writes that have executed by now
-                // (out of program order).
-                while let Some(Reverse((t, preg, v))) = events.peek().copied() {
-                    if t <= fetch {
-                        events.pop();
-                        p.note_predicate_write(preg, v);
-                    } else {
-                        break;
-                    }
+    /// Fetch-time direction prediction for a conditional branch; `None`
+    /// when the branch role has no fetch stage (ideal conventional).
+    /// Predicate-register writes that have executed by cycle `fetch` reach
+    /// the role first, out of program order.
+    fn fetch_predict(&mut self, pc: u64, guard: u8, fetch: u64) -> Option<Prediction> {
+        if let Some(writes) = self.pred_writes.as_mut() {
+            while let Some(&Reverse((t, preg, v))) = writes.peek() {
+                if t > fetch {
+                    break;
                 }
-                Some(p.predict(pc, guard))
+                writes.pop();
+                self.branch.note_predicate_write(preg, v);
             }
-            Predictors::IdealConventional { .. } => None,
         }
+        self.branch.fetch_predict(pc, guard)
     }
 
     /// Routes one record to the monomorphized record loop. The four
@@ -649,7 +579,7 @@ impl<S: InsnSource> Simulator<S> {
         // Fetch-time prediction state for branches.
         let is_cond_branch = meta.is(flag::COND_BRANCH);
         let l1_pred = if is_cond_branch {
-            self.l1_predict(pc, meta.qp, f)
+            self.fetch_predict(pc, meta.qp, f)
         } else {
             None
         };
@@ -729,7 +659,7 @@ impl<S: InsnSource> Simulator<S> {
         if meta.flags & (flag::PREDICATED | flag::BRANCH | flag::CMP) == flag::PREDICATED {
             disposition = match self.predication {
                 PredicationModel::Cmov => Disposition::Cmov,
-                PredicationModel::Selective if !self.scheme.is_predicate() => Disposition::Cmov,
+                PredicationModel::Selective if self.predicate.is_none() => Disposition::Cmov,
                 PredicationModel::Selective => {
                     if guard_known_at_rename {
                         if guard_value {
@@ -768,61 +698,30 @@ impl<S: InsnSource> Simulator<S> {
         let mut branch_final: Option<bool> = None;
         let mut branch_early_resolved = false;
         let mut branch_used_pprf_pred = false;
-        let mut l2_tag: Option<Prediction> = None;
+        let mut late_pred: Option<Prediction> = None;
         if is_cond_branch {
             let actual = rec.qp; // a branch is taken iff its guard is true
-            let (final_dir, early, used_pred) = match &mut self.predictors {
-                Predictors::Conventional { l2, .. } => {
-                    let p = l2.predict(pc, guard_idx as u8);
-                    let d = p.taken;
-                    l2_tag = Some(p);
-                    (d, false, false)
-                }
-                Predictors::PepPa { .. } | Predictors::Tage { .. } => (
-                    l1_pred.as_ref().map(|p| p.taken).unwrap_or(false),
-                    false,
-                    false,
-                ),
-                Predictors::Predicate { .. }
-                | Predictors::IdealPredicate { .. }
-                | Predictors::TagePredicate { .. } => {
-                    if guard_known_at_rename {
-                        // Fault injection (check harness): corrupt the
-                        // computed guard an early-resolved branch consumes.
-                        let flip = self.fault == Some(TestFault::InvertEarlyResolve);
-                        (guard_value ^ flip, true, false)
-                    } else if let Some((pv, _conf)) = guard_pred {
-                        if guard_pred_avail <= r {
-                            (pv, false, true)
-                        } else {
-                            // Prediction not yet in the PPRF (back-to-back
-                            // compare/branch): fall back to the first level.
-                            (
-                                l1_pred.as_ref().map(|p| p.taken).unwrap_or(false),
-                                false,
-                                false,
-                            )
-                        }
-                    } else {
-                        (
-                            l1_pred.as_ref().map(|p| p.taken).unwrap_or(false),
-                            false,
-                            false,
-                        )
-                    }
-                }
-                Predictors::IdealConventional { p } => {
-                    let trained = p.predict_and_train(pc, actual);
-                    let dir = if self.oracle_final {
-                        // Oracle-exact mode (check harness): the final
-                        // direction *is* the outcome, so "zero mispredict
-                        // flushes" holds as a hard invariant — unless the
-                        // injected fault deliberately breaks it.
-                        actual ^ (self.fault == Some(TestFault::InvertOracle))
-                    } else {
-                        trained
-                    };
-                    (dir, false, false)
+            late_pred = self.branch.rename_predict(pc, guard_idx as u8, actual);
+            let fallback = late_pred.or(l1_pred).is_some_and(|p| p.taken);
+            let (final_dir, early, used_pred) = if self.predicate.is_none() {
+                // Oracle-exact mode (check harness, ideal conventional
+                // only): the final direction *is* the outcome, so "zero
+                // mispredict flushes" holds as a hard invariant — unless
+                // the injected fault deliberately breaks it.
+                let oracle = actual ^ (self.fault == Some(TestFault::InvertOracle));
+                let dir = if self.oracle_final { oracle } else { fallback };
+                (dir, false, false)
+            } else if guard_known_at_rename {
+                // Fault injection (check harness): corrupt the computed
+                // guard an early-resolved branch consumes.
+                let flip = self.fault == Some(TestFault::InvertEarlyResolve);
+                (guard_value ^ flip, true, false)
+            } else {
+                match guard_pred {
+                    Some((pv, _)) if guard_pred_avail <= r => (pv, false, true),
+                    // No prediction in the PPRF yet (back-to-back
+                    // compare/branch): fall back to the fetch prediction.
+                    _ => (fallback, false, false),
                 }
             };
             branch_final = Some(final_dir);
@@ -861,13 +760,7 @@ impl<S: InsnSource> Simulator<S> {
                     self.fetch.redirect(r + self.cfg.override_bubble);
                     // Repair the first-level history to the overriding
                     // direction.
-                    match &mut self.predictors {
-                        Predictors::Conventional { l1, .. }
-                        | Predictors::Predicate { l1, .. }
-                        | Predictors::IdealPredicate { l1, .. }
-                        | Predictors::TagePredicate { l1, .. } => l1.recover(l1p, final_dir),
-                        _ => {}
-                    }
+                    self.branch.recover_fetch(l1p, final_dir);
                 }
             }
         }
@@ -1017,53 +910,12 @@ impl<S: InsnSource> Simulator<S> {
                         evs.push((exec_done, EventKind::BranchFlush));
                     }
                 }
-                // First-level repair with the actual outcome.
-                if let Some(l1p) = l1_pred.as_ref() {
-                    match &mut self.predictors {
-                        Predictors::Conventional { l1, .. }
-                        | Predictors::Predicate { l1, .. }
-                        | Predictors::IdealPredicate { l1, .. }
-                        | Predictors::TagePredicate { l1, .. } => l1.recover(l1p, actual),
-                        Predictors::PepPa { p, .. } => p.recover(l1p, actual),
-                        Predictors::Tage { t } => t.recover(l1p, actual),
-                        Predictors::IdealConventional { .. } => {}
-                    }
-                }
-                if let Some(tag) = l2_tag.as_ref() {
-                    if let Predictors::Conventional { l2, .. } = &mut self.predictors {
-                        l2.recover(tag, actual);
-                    }
-                }
             }
-            // Train the branch-PC predictors with the outcome.
-            match &mut self.predictors {
-                Predictors::Conventional { l1, l2 } => {
-                    if let Some(tag) = l2_tag.as_ref() {
-                        l2.train(tag, actual);
-                    }
-                    if let Some(l1p) = l1_pred.as_ref() {
-                        l1.train(l1p, actual);
-                    }
-                }
-                Predictors::PepPa { p, .. } => {
-                    if let Some(l1p) = l1_pred.as_ref() {
-                        p.train(l1p, actual);
-                    }
-                }
-                Predictors::Predicate { l1, .. }
-                | Predictors::IdealPredicate { l1, .. }
-                | Predictors::TagePredicate { l1, .. } => {
-                    if let Some(l1p) = l1_pred.as_ref() {
-                        l1.train(l1p, actual);
-                    }
-                }
-                Predictors::Tage { t } => {
-                    if let Some(l1p) = l1_pred.as_ref() {
-                        t.train(l1p, actual);
-                    }
-                }
-                Predictors::IdealConventional { .. } => {}
-            }
+            // Repair the branch role's histories on a mispredict, then
+            // train it with the outcome.
+            let (fetch, late) = (l1_pred.as_ref(), late_pred.as_ref());
+            self.branch
+                .resolve(fetch, late, actual, branch_mispredicted);
             // Shadow conventional predictor (Figure 6b attribution).
             if let Some(shadow) = self.shadow.as_mut() {
                 let sp = shadow.predict(pc, guard_idx as u8);
@@ -1127,19 +979,14 @@ impl<S: InsnSource> Simulator<S> {
                 self.preds.set_primary_actual(i, primary_actual);
                 self.preds.set_flushed(i, false);
                 // pred/tag/pred_avail were installed by compare_predict.
-                if let Predictors::PepPa { events, .. } = &mut self.predictors {
-                    events.push(Reverse((exec_done, i as u8, value)));
+                if let Some(writes) = self.pred_writes.as_mut() {
+                    writes.push(Reverse((exec_done, i as u8, value)));
                 }
             }
-            // Writeback-time history repair (realistic predicate scheme):
-            // if the bit this compare pushed was wrong, schedule its
-            // correction for the writeback cycle.
-            if self.cfg.history_repair
-                && matches!(
-                    self.predictors,
-                    Predictors::Predicate { .. } | Predictors::TagePredicate { .. }
-                )
-            {
+            // Writeback-time history repair: if the bit this compare
+            // pushed was wrong, schedule its correction for the writeback
+            // cycle. Only a realistic predicate role leaves a repair tag.
+            if self.cfg.history_repair {
                 if let Some(primary) = pt.or(pf) {
                     let i = primary.index();
                     if let (Some((pv, _)), Some(tag)) = (self.preds.pred(i), self.preds.tag[i]) {
@@ -1264,7 +1111,6 @@ impl<S: InsnSource> Simulator<S> {
         if meta.is(flag::PREDICATED) && !rec.qp {
             self.stats.nullified += 1;
         }
-        let _ = branch_mispredicted;
         if rec.is_taken_branch() {
             self.fetch.break_group();
         }
@@ -1285,95 +1131,39 @@ impl<S: InsnSource> Simulator<S> {
     /// cycle `r`).
     fn compare_predict(&mut self, rec: &ExecRecord, pc: u64, r: u64) {
         let [pt, pf] = rec.insn.pr_dsts();
-        let (need_pt, need_pf) = (pt.is_some(), pf.is_some());
-        if !need_pt && !need_pf {
+        let Some(predicate) = self.predicate.as_mut() else {
+            return;
+        };
+        if pt.is_none() && pf.is_none() {
             return;
         }
-        // Oracle values the compare will write (None for unwritten
-        // targets, e.g. disqualified normal-type compares).
-        let (apt, apf) = match rec.info {
+        // Values the compare will write (None for unwritten targets, e.g.
+        // disqualified normal-type compares).
+        let writes = match rec.info {
             ExecInfo::Cmp {
                 pt_write, pf_write, ..
-            } => (pt_write, pf_write),
-            _ => (None, None),
+            } => [pt_write, pf_write],
+            _ => [None, None],
         };
-
-        match &mut self.predictors {
-            Predictors::Predicate { pp, .. } => {
-                let cp = pp.predict_compare(pc, need_pt, need_pf);
-                if cp.ghr_pushed {
-                    self.ghr_pushes += 1;
-                }
-                let pairs = [(pt, cp.pt, apt), (pf, cp.pf, apf)];
-                for (target, prediction, actual) in pairs {
-                    let (Some(target), Some(prediction)) = (target, prediction) else {
-                        continue;
-                    };
-                    self.stats.predicate_predictions += 1;
-                    let i = target.index();
-                    self.preds
-                        .set_pred(i, prediction.value, prediction.confident);
-                    self.preds.pred_avail[i] = r;
-                    self.preds.tag[i] = Some(prediction);
-                    self.preds.push_index[i] = self.ghr_pushes;
-                    self.preds.set_flushed(i, false);
-                    // Train with the computed value (processing order is
-                    // program order = commit order).
-                    if let Some(actual) = actual {
-                        if prediction.value != actual {
-                            self.stats.predicate_mispredictions += 1;
-                        }
-                        pp.train(&prediction, actual);
-                    }
-                }
+        let cp = predicate.predict_compare(pc, [pt.is_some(), pf.is_some()], writes);
+        if cp.pushed {
+            self.ghr_pushes += 1;
+        }
+        for ((target, write), prediction) in [pt, pf].into_iter().zip(writes).zip(cp.targets) {
+            let (Some(target), Some(prediction)) = (target, prediction) else {
+                continue;
+            };
+            self.stats.predicate_predictions += 1;
+            if write.is_some_and(|v| v != prediction.value) {
+                self.stats.predicate_mispredictions += 1;
             }
-            Predictors::TagePredicate { pp, .. } => {
-                let cp = pp.predict_compare(pc, need_pt, need_pf);
-                if cp.ghr_pushed {
-                    self.ghr_pushes += 1;
-                }
-                let pairs = [(pt, cp.pt, apt), (pf, cp.pf, apf)];
-                for (target, prediction, actual) in pairs {
-                    let (Some(target), Some(prediction)) = (target, prediction) else {
-                        continue;
-                    };
-                    self.stats.predicate_predictions += 1;
-                    let i = target.index();
-                    self.preds
-                        .set_pred(i, prediction.value, prediction.confident);
-                    self.preds.pred_avail[i] = r;
-                    self.preds.tag[i] = Some(prediction);
-                    self.preds.push_index[i] = self.ghr_pushes;
-                    self.preds.set_flushed(i, false);
-                    if let Some(actual) = actual {
-                        if prediction.value != actual {
-                            self.stats.predicate_mispredictions += 1;
-                        }
-                        pp.train(&prediction, actual);
-                    }
-                }
-            }
-            Predictors::IdealPredicate { pp, .. } => {
-                let (ppt, ppf) = pp.predict_compare_and_train(pc, apt, apf);
-                self.ghr_pushes += 1;
-                let pairs = [(pt, ppt, apt), (pf, ppf, apf)];
-                for (target, prediction, actual) in pairs {
-                    let (Some(target), Some(prediction)) = (target, prediction) else {
-                        continue;
-                    };
-                    self.stats.predicate_predictions += 1;
-                    if actual.is_some() && prediction != actual.unwrap_or(false) {
-                        self.stats.predicate_mispredictions += 1;
-                    }
-                    let i = target.index();
-                    self.preds.set_pred(i, prediction, true);
-                    self.preds.pred_avail[i] = r;
-                    self.preds.tag[i] = None;
-                    self.preds.push_index[i] = self.ghr_pushes;
-                    self.preds.set_flushed(i, false);
-                }
-            }
-            _ => {}
+            let i = target.index();
+            self.preds
+                .set_pred(i, prediction.value, prediction.confident);
+            self.preds.pred_avail[i] = r;
+            self.preds.tag[i] = prediction.repair;
+            self.preds.push_index[i] = self.ghr_pushes;
+            self.preds.set_flushed(i, false);
         }
     }
 
@@ -1382,37 +1172,18 @@ impl<S: InsnSource> Simulator<S> {
     /// push counter, so compares fetched inside the corruption window have
     /// already predicted with the wrong bit.
     fn apply_pending_repairs(&mut self, now: u64) {
-        if self.pending_repairs.is_empty() {
+        let Some(predicate) = self.predicate.as_mut() else {
             return;
-        }
+        };
         let pushes = self.ghr_pushes;
-        match &mut self.predictors {
-            Predictors::Predicate { pp, .. } => {
-                self.pending_repairs
-                    .retain(|(cycle, tag, actual, push_index)| {
-                        if *cycle <= now {
-                            let age = (pushes - push_index) as u32;
-                            pp.repair_history(tag, *actual, age);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-            }
-            Predictors::TagePredicate { pp, .. } => {
-                self.pending_repairs
-                    .retain(|(cycle, tag, actual, push_index)| {
-                        if *cycle <= now {
-                            let age = (pushes - push_index) as u32;
-                            pp.repair_history(tag, *actual, age);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-            }
-            _ => self.pending_repairs.clear(),
-        }
+        self.pending_repairs
+            .retain(|(cycle, tag, actual, push_index)| {
+                if *cycle > now {
+                    return true;
+                }
+                predicate.repair_history(tag, *actual, (pushes - push_index) as u32);
+                false
+            });
     }
 
     /// §3.3 recovery: fix the global-history bit the mispredicted
@@ -1422,24 +1193,12 @@ impl<S: InsnSource> Simulator<S> {
     /// value — which is the complement of the consumer-visible value when
     /// the consumer guards on the second target of an `unc` compare.
     fn repair_predicate_history(&mut self, guard_idx: usize) {
-        let tag = self.preds.tag[guard_idx];
-        let push_index = self.preds.push_index[guard_idx];
-        let primary_actual = self.preds.primary_actual(guard_idx);
-        match &mut self.predictors {
-            Predictors::Predicate { pp, .. } => {
-                if let Some(tag) = tag.as_ref() {
-                    let age = (self.ghr_pushes - push_index) as u32;
-                    pp.repair_history(tag, primary_actual, age);
-                }
-            }
-            Predictors::TagePredicate { pp, .. } => {
-                if let Some(tag) = tag.as_ref() {
-                    let age = (self.ghr_pushes - push_index) as u32;
-                    pp.repair_history(tag, primary_actual, age);
-                }
-            }
-            _ => {}
-        }
+        let (Some(predicate), Some(tag)) = (self.predicate.as_mut(), &self.preds.tag[guard_idx])
+        else {
+            return;
+        };
+        let age = (self.ghr_pushes - self.preds.push_index[guard_idx]) as u32;
+        predicate.repair_history(tag, self.preds.primary_actual(guard_idx), age);
     }
 }
 

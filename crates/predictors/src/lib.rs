@@ -22,6 +22,23 @@
 //!   [`TagePredicatePredictor`], the hybrid that applies TAGE indexing to
 //!   the compare-PC predicate value table.
 //!
+//! ## The two roles
+//!
+//! [`SchemeSpec::build`] arranges these predictors into the paper's two
+//! roles, each an enum over concrete predictors so calls stay direct:
+//!
+//! * [`BranchRole`] — what every conditional branch consults at fetch
+//!   (gshare, PEP-PA, TAGE), plus the conventional perceptron override at
+//!   rename; the ideal perceptron predicts at rename only. `resolve`
+//!   repairs its histories after a mispredict, then trains it.
+//! * [`PredicateRole`] — present for the predicate schemes only. Keyed by
+//!   the *compare* PC, it predicts both targets for the PPRF and trains
+//!   them at once (perceptron PVT, TAGE PVT, ideal); `repair_history`
+//!   fixes the bit a mispredicted compare pushed (§3.3).
+//!
+//! A new scheme adds a role variant and a `SchemeSpec::build` arm; the
+//! pipeline only calls the roles.
+//!
 //! ## Speculative history discipline
 //!
 //! All predictors update their histories *speculatively at prediction time*
@@ -62,7 +79,7 @@ pub use ideal::{IdealPerceptron, IdealPredicatePredictor};
 pub use peppa::{PepPa, PepPaConfig};
 pub use perceptron::{PerceptronConfig, PerceptronPredictor, PerceptronTable};
 pub use predicate::{CmpPrediction, PredicateConfig, PredicatePrediction, PredicatePredictor};
-pub use scheme::{PredictorSet, SchemeSpec};
+pub use scheme::{BranchRole, ComparePredictions, PprfPrediction, PredicateRole, SchemeSpec};
 pub use tage::{
     geometric_histories, Tage, TageConfig, TageH2pConfig, TagePredicateConfig,
     TagePredicatePredictor,
@@ -122,9 +139,10 @@ impl Default for Tag {
 /// A branch direction predictor keyed by the *branch* PC.
 ///
 /// Implemented by [`Gshare`], [`PerceptronPredictor`], [`PepPa`] and
-/// [`IdealPerceptron`]. The paper's [`PredicatePredictor`] deliberately does
-/// *not* implement this trait: it predicts at compares, not branches, and
-/// has its own interface.
+/// [`Tage`]. [`IdealPerceptron`] does not implement it: it predicts and
+/// trains in one step, given the outcome. The paper's [`PredicatePredictor`]
+/// deliberately does *not* implement this trait either: it predicts at
+/// compares, not branches, and has its own interface.
 pub trait BranchPredictor {
     /// Predicts the direction of the branch at `pc` whose qualifying
     /// predicate is architectural register `guard`, speculatively updating

@@ -1,15 +1,17 @@
-//! Scheme specification and predictor factory.
+//! Scheme specification and the two predictor roles it builds.
 //!
 //! [`SchemeSpec`] is the single authority on which prediction organizations
 //! exist: their names, their CLI spellings, and — through [`SchemeSpec::build`]
-//! — the concrete predictor structures each one instantiates. The pipeline,
-//! the figure binaries and the CLI all consume this enum instead of
-//! re-spelling the scheme→predictor match arms.
+//! — the predictor structures each one instantiates, split into the paper's
+//! two roles: the [`BranchRole`] every conditional branch consults, and the
+//! optional [`PredicateRole`] every compare consults. The pipeline calls the
+//! roles and never matches on the scheme.
 
 use crate::tage::{Tage, TageConfig, TageH2pConfig, TagePredicateConfig, TagePredicatePredictor};
 use crate::{
-    Gshare, GshareConfig, IdealPerceptron, IdealPredicatePredictor, PepPa, PepPaConfig,
-    PerceptronConfig, PerceptronPredictor, PredicateConfig, PredicatePredictor,
+    BranchPredictor, CmpPrediction, Gshare, GshareConfig, IdealPerceptron, IdealPredicatePredictor,
+    PepPa, PepPaConfig, PerceptronConfig, PerceptronPredictor, PredicateConfig,
+    PredicatePrediction, PredicatePredictor, Prediction, Tag,
 };
 
 /// Which branch-prediction organization drives the front end.
@@ -44,33 +46,226 @@ pub enum SchemeSpec {
     TagePredicate,
 }
 
-/// The predictor structures a [`SchemeSpec`] instantiates.
-///
-/// This is pure predictor state; timing-model bookkeeping (e.g. PEP-PA's
-/// out-of-order predicate-write replay queue) stays in the pipeline.
-#[allow(missing_docs)] // variant fields mirror the scheme definitions above
-pub enum PredictorSet {
-    /// First-level gshare with a perceptron override at rename.
-    Conventional { l1: Gshare, l2: PerceptronPredictor },
-    /// Single-level PEP-PA at fetch.
-    PepPa { p: PepPa },
-    /// First-level gshare plus the compare-PC predicate predictor.
-    Predicate { l1: Gshare, pp: PredicatePredictor },
-    /// Idealized perceptron (no first level; oracle-trained).
-    IdealConventional { p: IdealPerceptron },
-    /// First-level gshare plus the idealized predicate predictor.
-    IdealPredicate {
+/// The fetch-time branch role: the predictor a conditional branch consults
+/// at fetch, plus the two-level organization's override at rename. PEP-PA's
+/// predicate-register writes arrive out of program order, so the pipeline
+/// keeps their schedule and feeds them in through
+/// [`BranchRole::note_predicate_write`].
+pub enum BranchRole {
+    /// 4 KB gshare at fetch. `l2` is the conventional scheme's 148 KB
+    /// perceptron override at rename; the predicate schemes have none.
+    Gshare {
         l1: Gshare,
-        pp: IdealPredicatePredictor,
+        l2: Option<PerceptronPredictor>,
     },
-    /// Single-level TAGE at fetch (plain for [`SchemeSpec::Tage`], H2P
-    /// side table enabled for [`SchemeSpec::TageH2p`]).
-    Tage { t: Tage },
-    /// First-level gshare plus the TAGE-indexed predicate predictor.
-    TagePredicate {
-        l1: Gshare,
-        pp: TagePredicatePredictor,
-    },
+    /// 144 KB PEP-PA at fetch.
+    PepPa(PepPa),
+    /// 144 KiB TAGE at fetch, with or without the H2P side table.
+    Tage(Tage),
+    /// The idealized perceptron: no fetch stage; it predicts at rename and
+    /// trains on the outcome at once.
+    Ideal(IdealPerceptron),
+}
+
+impl BranchRole {
+    /// Predicts a conditional branch at fetch, pushing the predicted bit
+    /// into the fetch predictor's history; `None` for the ideal role.
+    #[inline]
+    pub fn fetch_predict(&mut self, pc: u64, guard: u8) -> Option<Prediction> {
+        match self {
+            BranchRole::Gshare { l1, .. } => Some(l1.predict(pc, guard)),
+            BranchRole::PepPa(p) => Some(p.predict(pc, guard)),
+            BranchRole::Tage(t) => Some(t.predict(pc, guard)),
+            BranchRole::Ideal(_) => None,
+        }
+    }
+
+    /// Whether [`BranchRole::note_predicate_write`] does anything (PEP-PA).
+    pub fn reads_predicate_writes(&self) -> bool {
+        matches!(self, BranchRole::PepPa(_))
+    }
+
+    /// Applies one executed predicate-register write (PEP-PA only).
+    #[inline]
+    pub fn note_predicate_write(&mut self, preg: u8, value: bool) {
+        if let BranchRole::PepPa(p) = self {
+            p.note_predicate_write(preg, value);
+        }
+    }
+
+    /// The rename-stage direction: the override perceptron's prediction,
+    /// or the ideal role's, which trains with the outcome `taken` at once.
+    /// `None` when the role has no rename stage.
+    #[inline]
+    pub fn rename_predict(&mut self, pc: u64, guard: u8, taken: bool) -> Option<Prediction> {
+        match self {
+            BranchRole::Gshare { l2: Some(l2), .. } => Some(l2.predict(pc, guard)),
+            BranchRole::Ideal(p) => Some(Prediction {
+                taken: p.predict_and_train(pc, taken),
+                tag: Tag::EMPTY,
+            }),
+            _ => None,
+        }
+    }
+
+    /// Re-steers the fetch predictor's history from `fetch` to `taken`.
+    #[inline]
+    pub fn recover_fetch(&mut self, fetch: &Prediction, taken: bool) {
+        match self {
+            BranchRole::Gshare { l1, .. } => l1.recover(fetch, taken),
+            BranchRole::PepPa(p) => p.recover(fetch, taken),
+            BranchRole::Tage(t) => t.recover(fetch, taken),
+            BranchRole::Ideal(_) => {}
+        }
+    }
+
+    /// Resolves a branch whose outcome is `taken`: if its final direction
+    /// was `mispredicted`, each stage's history is repaired first; then
+    /// each stage trains with its own prediction (`fetch`, and `late` from
+    /// [`BranchRole::rename_predict`]). The ideal role trained at rename.
+    #[inline]
+    pub fn resolve(
+        &mut self,
+        fetch: Option<&Prediction>,
+        late: Option<&Prediction>,
+        taken: bool,
+        mispredicted: bool,
+    ) {
+        match self {
+            BranchRole::Gshare { l1, l2 } => {
+                settle(l1, fetch, taken, mispredicted);
+                if let Some(l2) = l2 {
+                    settle(l2, late, taken, mispredicted);
+                }
+            }
+            BranchRole::PepPa(p) => settle(p, fetch, taken, mispredicted),
+            BranchRole::Tage(t) => settle(t, fetch, taken, mispredicted),
+            BranchRole::Ideal(_) => {}
+        }
+    }
+}
+
+/// Repairs one stage's history on a mispredict, then trains it.
+#[inline]
+fn settle(p: &mut impl BranchPredictor, pred: Option<&Prediction>, taken: bool, misp: bool) {
+    if let Some(pred) = pred {
+        if misp {
+            p.recover(pred, taken);
+        }
+        p.train(pred, taken);
+    }
+}
+
+/// The compare-time predicate role: keyed by the compare PC, it predicts
+/// each compare's targets for the PPRF and trains them at once. The
+/// history bit a mispredicted compare pushed is repaired later (§3.3).
+pub enum PredicateRole {
+    /// The paper's 148 KB perceptron PVT.
+    Perceptron(PredicatePredictor),
+    /// The 144 KiB TAGE-indexed PVT.
+    Tage(TagePredicatePredictor),
+    /// Unbounded tables and exact history; nothing to repair.
+    Ideal(IdealPredicatePredictor),
+}
+
+/// One compare target's prediction, as the PPRF stores it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PprfPrediction {
+    /// Predicted predicate value.
+    pub value: bool,
+    /// Whether selective predication may act on it.
+    pub confident: bool,
+    /// What [`PredicateRole::repair_history`] needs if this target's bit
+    /// was pushed wrongly; `None` for the ideal role.
+    pub repair: Option<PredicatePrediction>,
+}
+
+/// What [`PredicateRole::predict_compare`] produced for one compare.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ComparePredictions {
+    /// The `[pt, pf]` predictions.
+    pub targets: [Option<PprfPrediction>; 2],
+    /// Whether the compare pushed a global-history bit.
+    pub pushed: bool,
+}
+
+impl PredicateRole {
+    /// Predicts the compare at `pc`, then trains each prediction with the
+    /// value the compare writes, `pt` before `pf`. `named` marks the
+    /// `[pt, pf]` targets that name real registers; `writes` holds the
+    /// values written (`None` for an unwritten target). The realistic
+    /// roles predict named targets only. The ideal role predicts every
+    /// written target, `p0` included, and always pushes history.
+    #[inline]
+    pub fn predict_compare(
+        &mut self,
+        pc: u64,
+        named: [bool; 2],
+        writes: [Option<bool>; 2],
+    ) -> ComparePredictions {
+        match self {
+            PredicateRole::Perceptron(pp) => {
+                let cp = pp.predict_compare(pc, named[0], named[1]);
+                trained(cp, writes, |p, v| pp.train(p, v))
+            }
+            PredicateRole::Tage(pp) => {
+                let cp = pp.predict_compare(pc, named[0], named[1]);
+                trained(cp, writes, |p, v| pp.train(p, v))
+            }
+            PredicateRole::Ideal(pp) => {
+                let (pt, pf) = pp.predict_compare_and_train(pc, writes[0], writes[1]);
+                let pprf = |v: Option<bool>| {
+                    v.map(|value| PprfPrediction {
+                        value,
+                        confident: true,
+                        repair: None,
+                    })
+                };
+                ComparePredictions {
+                    targets: [pprf(pt), pprf(pf)],
+                    pushed: true,
+                }
+            }
+        }
+    }
+
+    /// §3.3 repair: rewrites the history bit that the compare tagged
+    /// `repair` pushed `age` pushes ago with its primary target's computed
+    /// value. The ideal role's history is exact already.
+    #[inline]
+    pub fn repair_history(&mut self, repair: &PredicatePrediction, primary_actual: bool, age: u32) {
+        match self {
+            PredicateRole::Perceptron(pp) => pp.repair_history(repair, primary_actual, age),
+            PredicateRole::Tage(pp) => pp.repair_history(repair, primary_actual, age),
+            PredicateRole::Ideal(_) => {}
+        }
+    }
+}
+
+/// Trains a realistic role's predictions with the written values, `pt`
+/// first, and keeps each one as its own repair tag.
+#[inline]
+fn trained(
+    cp: CmpPrediction,
+    writes: [Option<bool>; 2],
+    mut train: impl FnMut(&PredicatePrediction, bool),
+) -> ComparePredictions {
+    let targets = [cp.pt, cp.pf];
+    for (p, w) in targets.iter().zip(writes) {
+        if let (Some(p), Some(v)) = (p, w) {
+            train(p, v);
+        }
+    }
+    ComparePredictions {
+        targets: targets.map(|p| {
+            p.map(|p| PprfPrediction {
+                value: p.value,
+                confident: p.confident,
+                repair: Some(p),
+            })
+        }),
+        pushed: cp.ghr_pushed,
+    }
 }
 
 impl SchemeSpec {
@@ -149,9 +344,8 @@ impl SchemeSpec {
         }
     }
 
-    /// Instantiates the predictor structures for this scheme at the
-    /// paper's Table-1 budgets, with optional geometry overrides for the
-    /// sensitivity sweeps.
+    /// Builds this scheme's two roles at the paper's Table-1 budgets, with
+    /// optional geometry overrides for the sensitivity sweeps.
     ///
     /// `perceptron` applies to schemes with
     /// [`SchemeSpec::has_override_perceptron`] and `predicate` to schemes
@@ -164,41 +358,49 @@ impl SchemeSpec {
         self,
         perceptron: Option<PerceptronConfig>,
         predicate: Option<PredicateConfig>,
-    ) -> PredictorSet {
+    ) -> (BranchRole, Option<PredicateRole>) {
+        let gshare = |l2| BranchRole::Gshare {
+            l1: Gshare::new(GshareConfig::paper_4kb()),
+            l2,
+        };
         match self {
-            SchemeSpec::Conventional => PredictorSet::Conventional {
-                l1: Gshare::new(GshareConfig::paper_4kb()),
-                l2: PerceptronPredictor::new(
-                    perceptron.unwrap_or_else(PerceptronConfig::paper_148kb),
-                ),
-            },
-            SchemeSpec::PepPa => PredictorSet::PepPa {
-                p: PepPa::new(PepPaConfig::paper_144kb()),
-            },
-            SchemeSpec::Predicate => PredictorSet::Predicate {
-                l1: Gshare::new(GshareConfig::paper_4kb()),
-                pp: PredicatePredictor::new(predicate.unwrap_or_else(PredicateConfig::paper_148kb)),
-            },
-            SchemeSpec::IdealConventional => PredictorSet::IdealConventional {
-                p: IdealPerceptron::new(PerceptronConfig::paper_148kb()),
-            },
-            SchemeSpec::IdealPredicate => PredictorSet::IdealPredicate {
-                l1: Gshare::new(GshareConfig::paper_4kb()),
-                pp: IdealPredicatePredictor::new(PerceptronConfig::paper_148kb()),
-            },
-            SchemeSpec::Tage => PredictorSet::Tage {
-                t: Tage::new(TageConfig::paper_144kb()),
-            },
-            SchemeSpec::TageH2p => PredictorSet::Tage {
-                t: Tage::with_h2p(TageConfig::paper_144kb(), TageH2pConfig::paper_default()),
-            },
-            SchemeSpec::TagePredicate => PredictorSet::TagePredicate {
-                l1: Gshare::new(GshareConfig::paper_4kb()),
-                pp: TagePredicatePredictor::new(predicate.map_or_else(
+            SchemeSpec::Conventional => {
+                let l2 = perceptron.unwrap_or_else(PerceptronConfig::paper_148kb);
+                (gshare(Some(PerceptronPredictor::new(l2))), None)
+            }
+            SchemeSpec::PepPa => (
+                BranchRole::PepPa(PepPa::new(PepPaConfig::paper_144kb())),
+                None,
+            ),
+            SchemeSpec::Predicate => {
+                let pvt = predicate.unwrap_or_else(PredicateConfig::paper_148kb);
+                let pp = PredicatePredictor::new(pvt);
+                (gshare(None), Some(PredicateRole::Perceptron(pp)))
+            }
+            SchemeSpec::IdealConventional => {
+                let p = IdealPerceptron::new(PerceptronConfig::paper_148kb());
+                (BranchRole::Ideal(p), None)
+            }
+            SchemeSpec::IdealPredicate => {
+                let pp = IdealPredicatePredictor::new(PerceptronConfig::paper_148kb());
+                (gshare(None), Some(PredicateRole::Ideal(pp)))
+            }
+            SchemeSpec::Tage => (BranchRole::Tage(Tage::new(TageConfig::paper_144kb())), None),
+            SchemeSpec::TageH2p => {
+                let h2p = TageH2pConfig::paper_default();
+                (
+                    BranchRole::Tage(Tage::with_h2p(TageConfig::paper_144kb(), h2p)),
+                    None,
+                )
+            }
+            SchemeSpec::TagePredicate => {
+                let pvt = predicate.map_or_else(
                     TagePredicateConfig::paper_144kb,
                     TagePredicateConfig::from_predicate,
-                )),
-            },
+                );
+                let pp = TagePredicatePredictor::new(pvt);
+                (gshare(None), Some(PredicateRole::Tage(pp)))
+            }
         }
     }
 }
@@ -256,42 +458,108 @@ mod tests {
         }
     }
 
+    /// The variants one scheme builds, spelled for comparison.
+    fn roles_of(s: SchemeSpec) -> (&'static str, Option<&'static str>) {
+        let (branch, predicate) = s.build(None, None);
+        let branch = match branch {
+            BranchRole::Gshare { l2: Some(_), .. } => "gshare+perceptron",
+            BranchRole::Gshare { l2: None, .. } => "gshare",
+            BranchRole::PepPa(_) => "pep-pa",
+            BranchRole::Tage(t) if t.has_h2p() => "tage-h2p",
+            BranchRole::Tage(_) => "tage",
+            BranchRole::Ideal(_) => "ideal",
+        };
+        let predicate = predicate.map(|p| match p {
+            PredicateRole::Perceptron(_) => "perceptron",
+            PredicateRole::Tage(_) => "tage",
+            PredicateRole::Ideal(_) => "ideal",
+        });
+        (branch, predicate)
+    }
+
     #[test]
-    fn factory_builds_the_matching_set() {
-        for s in SchemeSpec::ALL {
-            let set = s.build(None, None);
-            let matches = matches!(
-                (s, &set),
-                (SchemeSpec::Conventional, PredictorSet::Conventional { .. })
-                    | (SchemeSpec::PepPa, PredictorSet::PepPa { .. })
-                    | (SchemeSpec::Predicate, PredictorSet::Predicate { .. })
-                    | (
-                        SchemeSpec::IdealConventional,
-                        PredictorSet::IdealConventional { .. }
-                    )
-                    | (
-                        SchemeSpec::IdealPredicate,
-                        PredictorSet::IdealPredicate { .. }
-                    )
-                    | (SchemeSpec::Tage, PredictorSet::Tage { .. })
-                    | (SchemeSpec::TageH2p, PredictorSet::Tage { .. })
-                    | (
-                        SchemeSpec::TagePredicate,
-                        PredictorSet::TagePredicate { .. }
-                    )
-            );
-            assert!(matches, "{s:?} built the wrong predictor set");
+    fn factory_builds_the_matching_roles() {
+        let expected = [
+            (SchemeSpec::Conventional, "gshare+perceptron", None),
+            (SchemeSpec::PepPa, "pep-pa", None),
+            (SchemeSpec::Predicate, "gshare", Some("perceptron")),
+            (SchemeSpec::IdealConventional, "ideal", None),
+            (SchemeSpec::IdealPredicate, "gshare", Some("ideal")),
+            (SchemeSpec::Tage, "tage", None),
+            (SchemeSpec::TageH2p, "tage-h2p", None),
+            (SchemeSpec::TagePredicate, "gshare", Some("tage")),
+        ];
+        assert_eq!(expected.map(|e| e.0), SchemeSpec::ALL);
+        for (s, branch, predicate) in expected {
+            assert_eq!(roles_of(s), (branch, predicate), "{s:?}");
+            assert_eq!(predicate.is_some(), s.is_predicate(), "{s:?}");
+            let (role, _) = s.build(None, None);
+            assert_eq!(role.reads_predicate_writes(), s == SchemeSpec::PepPa);
         }
-        // The two TAGE branch schemes share a set variant but differ in
-        // the H2P extension.
-        let PredictorSet::Tage { t } = SchemeSpec::Tage.build(None, None) else {
-            panic!("wrong set");
+    }
+
+    #[test]
+    fn a_mispredicted_branch_leaves_the_outcome_in_fetch_history() {
+        let (mut role, _) = SchemeSpec::Conventional.build(None, None);
+        let pc = 0x4000_0040;
+        let fetch = role.fetch_predict(pc, 1).expect("gshare predicts at fetch");
+        let late = role
+            .rename_predict(pc, 1, true)
+            .expect("the override predicts");
+        let taken = !fetch.taken;
+        role.resolve(Some(&fetch), Some(&late), taken, true);
+        let BranchRole::Gshare { l1, .. } = &role else {
+            panic!("wrong role");
         };
-        assert!(!t.has_h2p());
-        let PredictorSet::Tage { t } = SchemeSpec::TageH2p.build(None, None) else {
-            panic!("wrong set");
+        assert_eq!(
+            l1.ghr_value(),
+            (fetch.tag.ghr_before << 1 | taken as u64) & 0x3fff
+        );
+        // The ideal role has no fetch stage and trains at rename.
+        let (mut ideal, _) = SchemeSpec::IdealConventional.build(None, None);
+        assert!(ideal.fetch_predict(pc, 1).is_none());
+        assert!(ideal.rename_predict(pc, 1, true).is_some());
+    }
+
+    #[test]
+    fn predicate_roles_train_at_predict_time() {
+        for s in [SchemeSpec::Predicate, SchemeSpec::TagePredicate] {
+            let (_, Some(mut role)) = s.build(None, None) else {
+                panic!("{s:?} has a predicate role");
+            };
+            let mut last = None;
+            for _ in 0..64 {
+                last = Some(role.predict_compare(
+                    0x4000_0080,
+                    [true, true],
+                    [Some(true), Some(false)],
+                ));
+            }
+            let [pt, pf] = last.unwrap().targets.map(Option::unwrap);
+            assert!(pt.value && pt.confident && pt.repair.is_some(), "{s:?}");
+            assert!(!pf.value && pf.confident, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn ideal_predicate_role_predicts_written_p0_targets_without_repair_tags() {
+        let (_, Some(mut role)) = SchemeSpec::IdealPredicate.build(None, None) else {
+            panic!("ideal-predicate has a predicate role");
         };
-        assert!(t.has_h2p());
+        // pt is p0 (unnamed) but written: the ideal role still predicts
+        // and trains it; the pipeline installs only named targets.
+        let cp = role.predict_compare(0x4000_0100, [false, true], [Some(true), Some(false)]);
+        assert!(cp.pushed);
+        assert!(cp
+            .targets
+            .iter()
+            .all(|t| t.is_some_and(|t| t.repair.is_none())));
+        // A realistic role predicts named targets only.
+        let (_, Some(mut role)) = SchemeSpec::Predicate.build(None, None) else {
+            panic!("predicate has a predicate role");
+        };
+        let cp = role.predict_compare(0x4000_0100, [false, true], [Some(true), Some(false)]);
+        assert!(cp.targets[0].is_none() && cp.targets[1].is_some());
     }
 
     #[test]
@@ -304,9 +572,10 @@ mod tests {
             rows: 64,
             ..PerceptronConfig::paper_148kb()
         };
-        let set = SchemeSpec::Conventional.build(Some(small), None);
-        let PredictorSet::Conventional { l2, .. } = set else {
-            panic!("wrong set");
+        let (BranchRole::Gshare { l2: Some(l2), .. }, None) =
+            SchemeSpec::Conventional.build(Some(small), None)
+        else {
+            panic!("wrong roles");
         };
         assert_eq!(l2.table().rows(), 64, "configured rows reach the table");
         assert!(
@@ -324,14 +593,15 @@ mod tests {
             },
             conf_bits: 2,
         };
-        let set = SchemeSpec::Predicate.build(None, Some(small));
-        let PredictorSet::Predicate { pp, .. } = set else {
-            panic!("wrong set");
+        let (_, Some(PredicateRole::Perceptron(pp))) =
+            SchemeSpec::Predicate.build(None, Some(small))
+        else {
+            panic!("wrong roles");
         };
         assert_eq!(pp.table().rows(), 128);
-        let set = SchemeSpec::TagePredicate.build(None, Some(small));
-        let PredictorSet::TagePredicate { pp, .. } = set else {
-            panic!("wrong set");
+        let (_, Some(PredicateRole::Tage(pp))) = SchemeSpec::TagePredicate.build(None, Some(small))
+        else {
+            panic!("wrong roles");
         };
         assert_eq!(
             pp.base_rows(),
