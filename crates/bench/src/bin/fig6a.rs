@@ -4,14 +4,14 @@
 
 fn main() {
     use ppsim_core::experiments::fig6a_col;
-    use ppsim_pipeline::SchemeKind;
+    use ppsim_pipeline::SchemeSpec;
 
     let s = ppsim_bench::setup("fig6a");
     let r = ppsim_core::experiments::fig6a(&s.runner, &s.cfg);
     let (peppa, conv, pred) = (
-        fig6a_col(SchemeKind::PepPa),
-        fig6a_col(SchemeKind::Conventional),
-        fig6a_col(SchemeKind::Predicate),
+        fig6a_col(SchemeSpec::PepPa),
+        fig6a_col(SchemeSpec::Conventional),
+        fig6a_col(SchemeSpec::Predicate),
     );
     println!("{}", r.table());
     println!(
@@ -24,9 +24,9 @@ fn main() {
     );
     println!(
         "average accuracy gain (tage over conventional):      {:+.2} points; (tage-h2p over tage): {:+.2}; (tage-predicate over predicate): {:+.2}",
-        r.accuracy_gain(conv, fig6a_col(SchemeKind::Tage)),
-        r.accuracy_gain(fig6a_col(SchemeKind::Tage), fig6a_col(SchemeKind::TageH2p)),
-        r.accuracy_gain(pred, fig6a_col(SchemeKind::TagePredicate)),
+        r.accuracy_gain(conv, fig6a_col(SchemeSpec::Tage)),
+        r.accuracy_gain(fig6a_col(SchemeSpec::Tage), fig6a_col(SchemeSpec::TageH2p)),
+        r.accuracy_gain(pred, fig6a_col(SchemeSpec::TagePredicate)),
     );
     s.finish(r.to_json());
 }

@@ -12,7 +12,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use ppsim_compiler::{WorkloadClass, WorkloadSpec};
-use ppsim_pipeline::{PredicationModel, SchemeKind, SimStats};
+use ppsim_pipeline::{PredicationModel, SchemeSpec, SimStats};
 use ppsim_predictors::sizing;
 use ppsim_runner::{Job, Json, Runner};
 
@@ -299,7 +299,7 @@ fn cell(
     cfg: &ExperimentConfig,
     bench: &str,
     ifconv: bool,
-    scheme: SchemeKind,
+    scheme: SchemeSpec,
     predication: PredicationModel,
 ) -> Job {
     Job::new(
@@ -319,14 +319,14 @@ fn cell(
 /// paper's cmov model (like the other branch-PC schemes), the
 /// predicate-predicting hybrid under selective predication (like the
 /// paper's predicate column it competes with).
-pub const FIG6A_SCHEMES: [(SchemeKind, PredicationModel, bool); 6] = [
-    (SchemeKind::PepPa, PredicationModel::Cmov, false),
-    (SchemeKind::Conventional, PredicationModel::Cmov, false),
-    (SchemeKind::Predicate, PredicationModel::Selective, false),
-    (SchemeKind::Tage, PredicationModel::Cmov, false),
-    (SchemeKind::TageH2p, PredicationModel::Cmov, false),
+pub const FIG6A_SCHEMES: [(SchemeSpec, PredicationModel, bool); 6] = [
+    (SchemeSpec::PepPa, PredicationModel::Cmov, false),
+    (SchemeSpec::Conventional, PredicationModel::Cmov, false),
+    (SchemeSpec::Predicate, PredicationModel::Selective, false),
+    (SchemeSpec::Tage, PredicationModel::Cmov, false),
+    (SchemeSpec::TageH2p, PredicationModel::Cmov, false),
     (
-        SchemeKind::TagePredicate,
+        SchemeSpec::TagePredicate,
         PredicationModel::Selective,
         false,
     ),
@@ -336,7 +336,7 @@ pub const FIG6A_SCHEMES: [(SchemeKind, PredicationModel, bool); 6] = [
 /// references into the Figure 6a grid (accuracy gains, H2P and stall
 /// columns) are derived through here, never hardcoded, so they survive
 /// column insertions.
-pub fn fig6a_col(scheme: SchemeKind) -> usize {
+pub fn fig6a_col(scheme: SchemeSpec) -> usize {
     FIG6A_SCHEMES
         .iter()
         .position(|&(s, _, _)| s == scheme)
@@ -345,21 +345,21 @@ pub fn fig6a_col(scheme: SchemeKind) -> usize {
 
 /// The Figure 6b column: the predicate scheme with the conventional
 /// shadow predictor running alongside for the attribution counts.
-const FIG6B_SCHEMES: [(SchemeKind, PredicationModel, bool); 1] =
-    [(SchemeKind::Predicate, PredicationModel::Selective, true)];
+const FIG6B_SCHEMES: [(SchemeSpec, PredicationModel, bool); 1] =
+    [(SchemeSpec::Predicate, PredicationModel::Selective, true)];
 
 /// The IPC-ablation columns: the predicate scheme under both
 /// predication models.
-const IPC_SCHEMES: [(SchemeKind, PredicationModel, bool); 2] = [
-    (SchemeKind::Predicate, PredicationModel::Cmov, false),
-    (SchemeKind::Predicate, PredicationModel::Selective, false),
+const IPC_SCHEMES: [(SchemeSpec, PredicationModel, bool); 2] = [
+    (SchemeSpec::Predicate, PredicationModel::Cmov, false),
+    (SchemeSpec::Predicate, PredicationModel::Selective, false),
 ];
 
-fn fig5_schemes(ideal: bool) -> [(SchemeKind, PredicationModel, bool); 2] {
+fn fig5_schemes(ideal: bool) -> [(SchemeSpec, PredicationModel, bool); 2] {
     let (sa, sb) = if ideal {
-        (SchemeKind::IdealConventional, SchemeKind::IdealPredicate)
+        (SchemeSpec::IdealConventional, SchemeSpec::IdealPredicate)
     } else {
-        (SchemeKind::Conventional, SchemeKind::Predicate)
+        (SchemeSpec::Conventional, SchemeSpec::Predicate)
     };
     [
         (sa, PredicationModel::Cmov, false),
@@ -379,7 +379,7 @@ pub enum PlanSpec<'a> {
         /// Simulate the if-converted binary.
         ifconv: bool,
         /// Prediction scheme.
-        scheme: SchemeKind,
+        scheme: SchemeSpec,
         /// Predication model.
         predication: PredicationModel,
     },
@@ -437,7 +437,7 @@ pub fn plan(cfg: &ExperimentConfig, spec: PlanSpec) -> Vec<Job> {
 fn grid_jobs(
     cfg: &ExperimentConfig,
     ifconv: bool,
-    schemes: &[(SchemeKind, PredicationModel, bool)],
+    schemes: &[(SchemeSpec, PredicationModel, bool)],
 ) -> Vec<Job> {
     suite(cfg)
         .iter()
@@ -570,7 +570,7 @@ impl PlanResults {
         &self,
         cfg: &ExperimentConfig,
         ifconv: bool,
-        schemes: &[(SchemeKind, PredicationModel, bool)],
+        schemes: &[(SchemeSpec, PredicationModel, bool)],
     ) -> Vec<BenchRow> {
         suite(cfg)
             .iter()
@@ -948,8 +948,8 @@ impl PlanResults {
         ));
         let fig6a = self.fig6a(cfg);
         let (conv, pred) = (
-            fig6a_col(SchemeKind::Conventional),
-            fig6a_col(SchemeKind::Predicate),
+            fig6a_col(SchemeSpec::Conventional),
+            fig6a_col(SchemeSpec::Predicate),
         );
         out.push_str(&fig6a.table().to_string());
         if let Some(t) = fig6a.sample_table() {
@@ -962,9 +962,9 @@ impl PlanResults {
         out.push_str(&format!(
             "average accuracy gain (tage over conventional): {:+.2} points; \
              (tage-h2p over tage): {:+.2}; (tage-predicate over predicate): {:+.2}\n\n",
-            fig6a.accuracy_gain(conv, fig6a_col(SchemeKind::Tage)),
-            fig6a.accuracy_gain(fig6a_col(SchemeKind::Tage), fig6a_col(SchemeKind::TageH2p)),
-            fig6a.accuracy_gain(pred, fig6a_col(SchemeKind::TagePredicate)),
+            fig6a.accuracy_gain(conv, fig6a_col(SchemeSpec::Tage)),
+            fig6a.accuracy_gain(fig6a_col(SchemeSpec::Tage), fig6a_col(SchemeSpec::TageH2p)),
+            fig6a.accuracy_gain(pred, fig6a_col(SchemeSpec::TagePredicate)),
         ));
         out.push_str(&fig6a.mpki_table().to_string());
         out.push_str(&fig6a.h2p_table(pred, 5).to_string());
@@ -1061,15 +1061,15 @@ mod tests {
             assert!(t.contains(label), "missing {label} in:\n{t}");
         }
         // Positional references derive from the scheme, not a literal.
-        assert_eq!(fig6a_col(SchemeKind::PepPa), 0);
+        assert_eq!(fig6a_col(SchemeSpec::PepPa), 0);
         assert_eq!(
-            r.schemes[fig6a_col(SchemeKind::TageH2p)],
-            SchemeKind::TageH2p.name()
+            r.schemes[fig6a_col(SchemeSpec::TageH2p)],
+            SchemeSpec::TageH2p.name()
         );
         // The modern-metrics companions render from the same runs.
         let m = r.mpki_table().to_string();
         assert!(m.contains("MPKI") && m.contains("gzip"), "{m}");
-        let h = r.h2p_table(fig6a_col(SchemeKind::Predicate), 5).to_string();
+        let h = r.h2p_table(fig6a_col(SchemeSpec::Predicate), 5).to_string();
         assert!(h.contains("H2P") && h.contains("slot "), "{h}");
         let j = r.to_json().to_string();
         assert!(j.contains("\"mpki\""), "{j}");

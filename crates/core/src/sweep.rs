@@ -17,7 +17,7 @@
 //! stream is captured once per sweep, not once per point), and results
 //! land in the on-disk result cache.
 
-use ppsim_pipeline::{PredicationModel, SchemeKind};
+use ppsim_pipeline::{PredicationModel, SchemeSpec};
 use ppsim_predictors::{PerceptronConfig, PredicateConfig};
 use ppsim_runner::{Job, JobResult, Json, Runner};
 
@@ -113,7 +113,7 @@ fn run_points(runner: &Runner, cfg: &ExperimentConfig, points: &[Vec<Job>]) -> V
         .collect()
 }
 
-fn base_job(cfg: &ExperimentConfig, bench: &str, ifconv: bool, scheme: SchemeKind) -> Job {
+fn base_job(cfg: &ExperimentConfig, bench: &str, ifconv: bool, scheme: SchemeSpec) -> Job {
     Job::new(
         bench,
         ifconv,
@@ -131,7 +131,7 @@ fn pair_jobs(cfg: &ExperimentConfig, ifconv: bool, job: impl Fn(Job) -> Job) -> 
     names(cfg)
         .iter()
         .flat_map(|&name| {
-            [SchemeKind::Conventional, SchemeKind::Predicate]
+            [SchemeSpec::Conventional, SchemeSpec::Predicate]
                 .map(|scheme| job(base_job(cfg, name, ifconv, scheme)))
         })
         .collect()
@@ -168,7 +168,7 @@ fn perceptron_points(
         .iter()
         .map(|&(_, perceptron)| {
             pair_jobs(cfg, ifconv, |job| match job.scheme {
-                SchemeKind::Conventional => Job {
+                SchemeSpec::Conventional => Job {
                     perceptron: Some(perceptron),
                     ..job
                 },

@@ -3,24 +3,23 @@
 //! An execution-driven timing model of the machine in Table 1 of the
 //! paper: 6-wide fetch/rename/commit, 256-entry ROB, 80/80/32-entry issue
 //! queues, dual 64-entry load/store queues, the `ppsim-mem` hierarchy, and
-//! a pluggable branch-prediction organization ([`SchemeKind`]):
-//!
-//! * `Conventional` — 4 KB gshare at fetch overridden by a 148 KB
-//!   perceptron at rename (the baseline),
-//! * `PepPa` — the 144 KB PEP-PA baseline with out-of-order
-//!   predicate-register writes,
-//! * `Predicate` — **the paper's scheme**: per-compare predictions stored
-//!   in the predicate physical register file, consumed by branches (and,
-//!   under [`PredicationModel::Selective`], by if-converted instructions)
-//!   at rename, with early-resolved branches reading computed values,
-//! * `Ideal*` — alias-free, perfect-history variants for the sensitivity
-//!   studies.
+//! the branch-prediction organization a [`SchemeSpec`] names. The scheme
+//! builds two predictor roles in `ppsim-predictors`: a branch role every
+//! conditional branch consults at fetch (the conventional scheme adds the
+//! perceptron override at rename), and, for the predicate schemes, a
+//! predicate role every compare consults. The pipeline decides only the
+//! timing: when a branch reads the predicate physical register file (PPRF)
+//! — early-resolved, with the stored prediction, or falling back to the
+//! fetch prediction — when the §3.3 history repairs land, and when PEP-PA
+//! sees its out-of-order predicate-register writes. Under
+//! [`PredicationModel::Selective`], if-converted instructions consume the
+//! PPRF predictions at rename too.
 //!
 //! # Example
 //!
 //! ```
 //! use ppsim_isa::{Asm, CmpRel, CmpType, Gr, Operand, Pr};
-//! use ppsim_pipeline::{PredicationModel, SchemeKind, SimOptions};
+//! use ppsim_pipeline::{PredicationModel, SchemeSpec, SimOptions};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut a = Asm::new();
@@ -32,7 +31,7 @@
 //! a.halt();
 //! let program = a.assemble()?;
 //!
-//! let mut sim = SimOptions::new(SchemeKind::Predicate, PredicationModel::Selective)
+//! let mut sim = SimOptions::new(SchemeSpec::Predicate, PredicationModel::Selective)
 //!     .build_source(ppsim_isa::Machine::new(&program))?;
 //! let result = sim.run(100_000);
 //! assert!(result.halted);
@@ -65,9 +64,6 @@ pub use phases::PhaseReport;
 pub use ppsim_isa::{InsnSource, TraceBuffer, TraceCursor};
 pub use ppsim_obs::{EventKind, EventRing, StallBreakdown, StallBucket, TraceEvent};
 pub use ppsim_predictors::SchemeSpec;
-/// Backwards-compatible alias for [`SchemeSpec`] (the enum moved to
-/// `ppsim-predictors` so every layer shares one scheme authority).
-pub use ppsim_predictors::SchemeSpec as SchemeKind;
 pub use resources::{Pool, UnitSet, WidthLimiter};
 pub use sample::{SampleSpec, SampleSpecError};
 pub use stats::SimStats;

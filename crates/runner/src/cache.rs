@@ -547,7 +547,7 @@ fn set_stat_field(s: &mut SimStats, key: &str, v: u64) -> Option<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppsim_pipeline::{CoreConfig, PredicationModel, SchemeKind};
+    use ppsim_pipeline::{CoreConfig, PredicationModel, SchemeSpec};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -560,7 +560,7 @@ mod tests {
         Job::new(
             "gzip",
             true,
-            SchemeKind::PepPa,
+            SchemeSpec::PepPa,
             PredicationModel::Selective,
             40_000,
             60_000,

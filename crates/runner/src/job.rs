@@ -10,7 +10,7 @@
 //! encodings are treated as distinct (the cache compares the full
 //! encoding, not just the hash).
 
-use ppsim_pipeline::{CoreConfig, PredicationModel, SampleSpec, SchemeKind, SimStats};
+use ppsim_pipeline::{CoreConfig, PredicationModel, SampleSpec, SchemeSpec, SimStats};
 use ppsim_predictors::{PerceptronConfig, PredicateConfig};
 
 use crate::hash::{fnv1a64, hex64};
@@ -57,7 +57,7 @@ pub struct Job {
     /// Functional-emulator steps for the compiler's profiling run.
     pub profile_steps: u64,
     /// Branch-prediction organization.
-    pub scheme: SchemeKind,
+    pub scheme: SchemeSpec,
     /// How if-converted instructions execute.
     pub predication: PredicationModel,
     /// Attach the shadow conventional predictor (Figure 6b attribution).
@@ -88,7 +88,7 @@ impl Job {
     pub fn new(
         benchmark: impl Into<String>,
         ifconv: bool,
-        scheme: SchemeKind,
+        scheme: SchemeSpec,
         predication: PredicationModel,
         commits: u64,
         profile_steps: u64,
@@ -117,7 +117,7 @@ impl Job {
     pub fn traced(
         name: impl Into<String>,
         trace: TraceId,
-        scheme: SchemeKind,
+        scheme: SchemeSpec,
         predication: PredicationModel,
         commits: u64,
         core: CoreConfig,
@@ -313,7 +313,7 @@ mod tests {
         Job::new(
             "gzip",
             false,
-            SchemeKind::Predicate,
+            SchemeSpec::Predicate,
             PredicationModel::Cmov,
             500_000,
             200_000,
@@ -363,7 +363,7 @@ mod tests {
                 ..b.clone()
             },
             Job {
-                scheme: SchemeKind::Conventional,
+                scheme: SchemeSpec::Conventional,
                 ..b.clone()
             },
             Job {
@@ -459,7 +459,7 @@ mod tests {
         let j = Job::traced(
             "cbp-import",
             id,
-            SchemeKind::Conventional,
+            SchemeSpec::Conventional,
             PredicationModel::Cmov,
             10_000,
             CoreConfig::paper(),

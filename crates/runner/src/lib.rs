@@ -903,9 +903,9 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppsim_pipeline::{CoreConfig, PredicationModel, SchemeKind};
+    use ppsim_pipeline::{CoreConfig, PredicationModel, SchemeSpec};
 
-    fn tiny(scheme: SchemeKind) -> Job {
+    fn tiny(scheme: SchemeSpec) -> Job {
         Job::new(
             "gzip",
             false,
@@ -920,7 +920,7 @@ mod tests {
     #[test]
     fn serial_runner_produces_nonempty_stats() {
         let r = Runner::serial_no_cache();
-        let out = r.run_job(&tiny(SchemeKind::Conventional));
+        let out = r.run_job(&tiny(SchemeSpec::Conventional));
         assert!(out.stats.committed >= 5_000);
         assert!(out.stats.cond_branches > 0);
         assert!(out.static_insns > 0);
@@ -931,7 +931,7 @@ mod tests {
     #[test]
     fn compile_memo_shares_across_jobs() {
         let r = Runner::serial_no_cache();
-        let grid = vec![tiny(SchemeKind::Conventional), tiny(SchemeKind::Predicate)];
+        let grid = vec![tiny(SchemeSpec::Conventional), tiny(SchemeSpec::Predicate)];
         let out = r.run_grid(&grid);
         assert_eq!(out.len(), 2);
         // Same binary → same static counts.
@@ -946,7 +946,7 @@ mod tests {
     #[test]
     fn telemetry_counts_runs() {
         let r = Runner::serial_no_cache();
-        r.run_grid(&[tiny(SchemeKind::Conventional)]);
+        r.run_grid(&[tiny(SchemeSpec::Conventional)]);
         let t = r.telemetry();
         assert_eq!(t.jobs_total, 1);
         assert_eq!(t.jobs_run, 1);
@@ -963,9 +963,9 @@ mod tests {
     fn cells_of_a_stream_share_one_capture() {
         let r = Runner::serial_no_cache();
         let grid = vec![
-            tiny(SchemeKind::Conventional),
-            tiny(SchemeKind::Predicate),
-            tiny(SchemeKind::PepPa),
+            tiny(SchemeSpec::Conventional),
+            tiny(SchemeSpec::Predicate),
+            tiny(SchemeSpec::PepPa),
         ];
         let out = r.run_grid(&grid);
         let t = r.telemetry();
@@ -993,9 +993,9 @@ mod tests {
         let r = Runner::serial_no_cache();
         let long = Job {
             commits: 6_000,
-            ..tiny(SchemeKind::Conventional)
+            ..tiny(SchemeSpec::Conventional)
         };
-        r.run_grid(&[tiny(SchemeKind::Conventional), long]);
+        r.run_grid(&[tiny(SchemeSpec::Conventional), long]);
         assert_eq!(
             r.telemetry().captures,
             2,
@@ -1015,7 +1015,7 @@ mod tests {
             count: 3,
         };
         let r = Runner::serial_no_cache();
-        let base = tiny(SchemeKind::Conventional);
+        let base = tiny(SchemeSpec::Conventional);
         let out = r.run_grid_sampled(std::slice::from_ref(&base), spec);
         assert_eq!(out.len(), 1);
         let cell = &out[0];
@@ -1119,7 +1119,7 @@ mod tests {
             cache_dir: Some(dir.clone()),
             ..RunnerOptions::default()
         });
-        let job = tiny(SchemeKind::Conventional);
+        let job = tiny(SchemeSpec::Conventional);
         assert!(r.probe(&job).is_none(), "cold cache must miss");
         let fresh = r.run_job(&job);
         let hit = r.probe(&job).expect("warm cache must hit");
@@ -1146,11 +1146,11 @@ mod tests {
             });
             seen.into_inner().unwrap()
         };
-        let grid: Vec<Job> = SchemeKind::ALL[..3].iter().map(|&s| tiny(s)).collect();
+        let grid: Vec<Job> = SchemeSpec::ALL[..3].iter().map(|&s| tiny(s)).collect();
         assert_eq!(reports(&grid), [(0, 3), (1, 3), (2, 3), (3, 3)], "cold");
         assert_eq!(reports(&grid), [(3, 3)], "a warm grid reports once");
         let mut wider = grid.clone();
-        wider.push(tiny(SchemeKind::ALL[3]));
+        wider.push(tiny(SchemeSpec::ALL[3]));
         assert_eq!(reports(&wider), [(3, 4), (4, 4)], "hits resolve first");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1159,7 +1159,7 @@ mod tests {
     fn cacheless_runner_never_probes() {
         let r = Runner::serial_no_cache();
         assert!(r.cache().is_none());
-        assert!(r.probe(&tiny(SchemeKind::Conventional)).is_none());
+        assert!(r.probe(&tiny(SchemeSpec::Conventional)).is_none());
     }
 
     /// Compiles `gzip` exactly as the runner does for [`tiny`] jobs and
@@ -1177,7 +1177,7 @@ mod tests {
     fn registered_trace_replays_like_the_benchmark() {
         let r = Runner::serial_no_cache();
         let id = r.register_trace(gzip_trace(5_000), false);
-        for scheme in [SchemeKind::Conventional, SchemeKind::Predicate] {
+        for scheme in [SchemeSpec::Conventional, SchemeSpec::Predicate] {
             let bench = tiny(scheme);
             let traced = Job {
                 trace: Some(id),
@@ -1218,7 +1218,7 @@ mod tests {
         let job = Job {
             trace: Some(id),
             commits: 2_000,
-            ..tiny(SchemeKind::Predicate)
+            ..tiny(SchemeSpec::Predicate)
         };
         let fresh = cold.run_job(&job);
         assert!(!fresh.from_cache);
@@ -1244,7 +1244,7 @@ mod tests {
         // The benchmark path captures the schedule's span; hand the
         // runner an identical external capture.
         let id = r.register_trace(gzip_trace(spec.span()), false);
-        let bench = tiny(SchemeKind::Predicate);
+        let bench = tiny(SchemeSpec::Predicate);
         let traced = Job {
             trace: Some(id),
             ..bench.clone()
@@ -1266,7 +1266,7 @@ mod tests {
                 content: 0x1234,
                 branches_only: false,
             }),
-            ..tiny(SchemeKind::Conventional)
+            ..tiny(SchemeSpec::Conventional)
         };
         r.run_job(&job);
     }
@@ -1278,7 +1278,7 @@ mod tests {
             cache: false,
             ..RunnerOptions::default()
         });
-        let grid: Vec<Job> = SchemeKind::ALL[..6].iter().map(|&s| tiny(s)).collect();
+        let grid: Vec<Job> = SchemeSpec::ALL[..6].iter().map(|&s| tiny(s)).collect();
         r.run_grid(&grid);
         let t = r.telemetry();
         assert_eq!(t.jobs_run, 6);
@@ -1296,12 +1296,12 @@ mod tests {
     #[test]
     fn a_later_grid_captures_the_stream_again() {
         let r = Runner::serial_no_cache();
-        r.run_grid(&[tiny(SchemeKind::Conventional), tiny(SchemeKind::Predicate)]);
+        r.run_grid(&[tiny(SchemeSpec::Conventional), tiny(SchemeSpec::Predicate)]);
         assert!(
             r.live.lock().unwrap().is_empty(),
             "released with its last cell"
         );
-        let again = r.run_job(&tiny(SchemeKind::PepPa));
+        let again = r.run_job(&tiny(SchemeSpec::PepPa));
         assert!(
             !again.trace_memo_hit,
             "nothing kept the first grid's capture"
@@ -1325,12 +1325,12 @@ mod tests {
         let r = Runner::serial_no_cache();
         let bogus = Job {
             benchmark: "no-such-benchmark".into(),
-            ..tiny(SchemeKind::Conventional)
+            ..tiny(SchemeSpec::Conventional)
         };
         let grid = [
             bogus,
-            tiny(SchemeKind::Conventional),
-            tiny(SchemeKind::Predicate),
+            tiny(SchemeSpec::Conventional),
+            tiny(SchemeSpec::Predicate),
         ];
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.run_grid(&grid)));
         assert!(run.is_err());
@@ -1350,7 +1350,7 @@ mod tests {
         // whose first cell has reported is still live until its third.
         let grid: Vec<Job> = (0..8)
             .flat_map(|n| {
-                SchemeKind::ALL[..3].iter().map(move |&s| Job {
+                SchemeSpec::ALL[..3].iter().map(move |&s| Job {
                     commits: 2_000 + n,
                     ..tiny(s)
                 })
@@ -1371,7 +1371,7 @@ mod tests {
     fn shadow_twin_derives_the_plain_cell_at_any_worker_count() {
         let plain = Job {
             predication: PredicationModel::Selective,
-            ..tiny(SchemeKind::Predicate)
+            ..tiny(SchemeSpec::Predicate)
         };
         let twin = Job {
             shadow: true,
@@ -1418,7 +1418,7 @@ mod tests {
             cache_dir: Some(dir.clone()),
             ..RunnerOptions::default()
         };
-        let plain = tiny(SchemeKind::Predicate);
+        let plain = tiny(SchemeSpec::Predicate);
         let twin = Job {
             shadow: true,
             ..plain.clone()

@@ -6,13 +6,13 @@
 use ppsim::compiler::workloads::{KernelKind, KernelSpec, WorkloadClass, WorkloadSpec};
 use ppsim::compiler::{compile, CompileOptions};
 use ppsim::core::Table;
-use ppsim::pipeline::{CoreConfig, PredicationModel, SchemeKind, Simulator};
+use ppsim::pipeline::{CoreConfig, PredicationModel, SchemeSpec, Simulator};
 
 fn k(kind: KernelKind, filler: u8) -> KernelSpec {
     KernelSpec { kind, filler }
 }
 
-fn measure(spec: &WorkloadSpec, ifconv: bool, scheme: SchemeKind) -> (f64, f64, f64) {
+fn measure(spec: &WorkloadSpec, ifconv: bool, scheme: SchemeSpec) -> (f64, f64, f64) {
     let opts = if ifconv {
         CompileOptions::with_ifconv()
     } else {
@@ -89,8 +89,8 @@ fn main() {
     );
     for (label, spec) in &workloads {
         for ifconv in [false, true] {
-            let (conv_rate, _, _) = measure(spec, ifconv, SchemeKind::Conventional);
-            let (pred_rate, early, ipc) = measure(spec, ifconv, SchemeKind::Predicate);
+            let (conv_rate, _, _) = measure(spec, ifconv, SchemeSpec::Conventional);
+            let (pred_rate, early, ipc) = measure(spec, ifconv, SchemeSpec::Predicate);
             t.row(vec![
                 label.to_string(),
                 if ifconv { "if-conv" } else { "plain" }.to_string(),

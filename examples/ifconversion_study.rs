@@ -10,7 +10,7 @@ use ppsim::compiler::profile::profile_run;
 use ppsim::compiler::workloads::{
     build_module, KernelKind, KernelSpec, WorkloadClass, WorkloadSpec,
 };
-use ppsim::pipeline::{CoreConfig, PredicationModel, SchemeKind, Simulator};
+use ppsim::pipeline::{CoreConfig, PredicationModel, SchemeSpec, Simulator};
 
 fn main() {
     // A workload dominated by one Figure-1 family: two hard feeder
@@ -51,7 +51,7 @@ fn main() {
         ("original", &plain.program),
         ("if-converted", &converted.program),
     ] {
-        for scheme in [SchemeKind::Conventional, SchemeKind::Predicate] {
+        for scheme in [SchemeSpec::Conventional, SchemeSpec::Predicate] {
             let mut sim = Simulator::new(
                 program,
                 scheme,

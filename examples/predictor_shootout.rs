@@ -5,7 +5,7 @@
 
 use ppsim::compiler::{compile, CompileOptions};
 use ppsim::core::Table;
-use ppsim::pipeline::{CoreConfig, PredicationModel, SchemeKind, Simulator};
+use ppsim::pipeline::{CoreConfig, PredicationModel, SchemeSpec, Simulator};
 
 fn main() {
     let name = std::env::args()
@@ -20,11 +20,11 @@ fn main() {
     let ifconv = compile(&spec, &CompileOptions::with_ifconv()).unwrap();
 
     let schemes = [
-        SchemeKind::PepPa,
-        SchemeKind::Conventional,
-        SchemeKind::Predicate,
-        SchemeKind::IdealConventional,
-        SchemeKind::IdealPredicate,
+        SchemeSpec::PepPa,
+        SchemeSpec::Conventional,
+        SchemeSpec::Predicate,
+        SchemeSpec::IdealConventional,
+        SchemeSpec::IdealPredicate,
     ];
 
     let mut t = Table::new(

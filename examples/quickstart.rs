@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use ppsim::isa::{Asm, CmpRel, CmpType, DataSegment, Gr, Machine, Operand, Pr};
-use ppsim::pipeline::{CoreConfig, PredicationModel, SchemeKind, Simulator};
+use ppsim::pipeline::{CoreConfig, PredicationModel, SchemeSpec, Simulator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A loop summing the positive elements of an array, written in the
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Timing simulation with the paper's predicate predictor.
     let mut sim = Simulator::new(
         &program,
-        SchemeKind::Predicate,
+        SchemeSpec::Predicate,
         PredicationModel::Selective,
         CoreConfig::paper(),
     );

@@ -3,7 +3,7 @@
 //! assembly through the full simulator.
 
 use ppsim::isa::{Asm, CmpRel, CmpType, DataSegment, Gr, Operand, Pr};
-use ppsim::pipeline::{CoreConfig, PredicationModel, SchemeKind, Simulator};
+use ppsim::pipeline::{CoreConfig, PredicationModel, SchemeSpec, Simulator};
 
 fn g(i: u8) -> Gr {
     Gr::new(i)
@@ -68,7 +68,7 @@ fn fig2_producer_consumer_lifecycle() {
     let prog = compare_branch_program(2000, 0);
     let mut sim = Simulator::new(
         &prog,
-        SchemeKind::Predicate,
+        SchemeSpec::Predicate,
         PredicationModel::Cmov,
         CoreConfig::paper(),
     );
@@ -98,7 +98,7 @@ fn early_resolved_branches_are_perfect() {
     let near = {
         let mut sim = Simulator::new(
             &compare_branch_program(2000, 0),
-            SchemeKind::Predicate,
+            SchemeSpec::Predicate,
             PredicationModel::Cmov,
             CoreConfig::paper(),
         );
@@ -107,7 +107,7 @@ fn early_resolved_branches_are_perfect() {
     let far = {
         let mut sim = Simulator::new(
             &compare_branch_program(2000, 120),
-            SchemeKind::Predicate,
+            SchemeSpec::Predicate,
             PredicationModel::Cmov,
             CoreConfig::paper(),
         );
@@ -166,7 +166,7 @@ fn fig3_selective_cancellation_and_flush() {
 
     let mut sim = Simulator::new(
         &prog,
-        SchemeKind::Predicate,
+        SchemeSpec::Predicate,
         PredicationModel::Selective,
         CoreConfig::paper(),
     );
@@ -188,7 +188,7 @@ fn fig3_selective_cancellation_and_flush() {
     // Same program under cmov: no cancellation machinery engages.
     let mut sim = Simulator::new(
         &prog,
-        SchemeKind::Predicate,
+        SchemeSpec::Predicate,
         PredicationModel::Cmov,
         CoreConfig::paper(),
     );
@@ -232,7 +232,7 @@ fn single_target_compares_make_one_prediction() {
     let prog = a.assemble().unwrap();
     let mut sim = Simulator::new(
         &prog,
-        SchemeKind::Predicate,
+        SchemeSpec::Predicate,
         PredicationModel::Cmov,
         CoreConfig::paper(),
     );
@@ -255,14 +255,14 @@ fn peppa_runs_and_degrades_gracefully() {
     let prog = compare_branch_program(3000, 8);
     let pep = Simulator::new(
         &prog,
-        SchemeKind::PepPa,
+        SchemeSpec::PepPa,
         PredicationModel::Cmov,
         CoreConfig::paper(),
     )
     .run(2_000_000);
     let conv = Simulator::new(
         &prog,
-        SchemeKind::Conventional,
+        SchemeSpec::Conventional,
         PredicationModel::Cmov,
         CoreConfig::paper(),
     )

@@ -7,7 +7,7 @@
 
 use ppsim::compiler::{compile, CompileOptions};
 use ppsim::core::{experiments, ExperimentConfig, Runner};
-use ppsim::pipeline::{CoreConfig, PredicationModel, SchemeKind, Simulator};
+use ppsim::pipeline::{CoreConfig, PredicationModel, SchemeSpec, Simulator};
 
 fn cfg(names: &[&str], commits: u64) -> ExperimentConfig {
     ExperimentConfig {
@@ -114,7 +114,7 @@ fn ifconversion_improves_ipc_on_hard_code() {
     let run = |p| {
         Simulator::new(
             p,
-            SchemeKind::Predicate,
+            SchemeSpec::Predicate,
             PredicationModel::Selective,
             CoreConfig::paper(),
         )

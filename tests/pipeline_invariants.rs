@@ -7,20 +7,20 @@
 
 use ppsim::compiler::workloads::test_workload;
 use ppsim::compiler::{compile, CompileOptions};
-use ppsim::pipeline::{CoreConfig, PredicationModel, SchemeKind, SimStats, Simulator};
+use ppsim::pipeline::{CoreConfig, PredicationModel, SchemeSpec, SimStats, Simulator};
 
-const SCHEMES: [SchemeKind; 5] = [
-    SchemeKind::Conventional,
-    SchemeKind::PepPa,
-    SchemeKind::Predicate,
-    SchemeKind::IdealConventional,
-    SchemeKind::IdealPredicate,
+const SCHEMES: [SchemeSpec; 5] = [
+    SchemeSpec::Conventional,
+    SchemeSpec::PepPa,
+    SchemeSpec::Predicate,
+    SchemeSpec::IdealConventional,
+    SchemeSpec::IdealPredicate,
 ];
 
 /// Workload seeds for the invariant sweeps (arbitrary, spread out).
 const SEEDS: [u64; 6] = [3, 77, 1234, 4242, 8191, 9973];
 
-fn run(seed: u64, scheme: SchemeKind, model: PredicationModel, commits: u64) -> (SimStats, bool) {
+fn run(seed: u64, scheme: SchemeSpec, model: PredicationModel, commits: u64) -> (SimStats, bool) {
     let spec = test_workload(seed, i64::MAX / 4);
     let compiled = compile(&spec, &CompileOptions::with_ifconv()).unwrap();
     let mut sim = Simulator::new(&compiled.program, scheme, model, CoreConfig::paper());
@@ -59,7 +59,7 @@ fn selective_predication_invariants() {
     for seed in SEEDS {
         let (s, _) = run(
             seed,
-            SchemeKind::Predicate,
+            SchemeSpec::Predicate,
             PredicationModel::Selective,
             25_000,
         );
@@ -80,13 +80,13 @@ fn simulation_is_deterministic() {
     for seed in SEEDS {
         let (a, _) = run(
             seed,
-            SchemeKind::Predicate,
+            SchemeSpec::Predicate,
             PredicationModel::Selective,
             20_000,
         );
         let (b, _) = run(
             seed,
-            SchemeKind::Predicate,
+            SchemeSpec::Predicate,
             PredicationModel::Selective,
             20_000,
         );
@@ -102,7 +102,7 @@ fn simulation_is_deterministic() {
 #[test]
 fn early_resolution_is_always_correct() {
     for seed in [1u64, 7, 42] {
-        let (s, _) = run(seed, SchemeKind::Predicate, PredicationModel::Cmov, 60_000);
+        let (s, _) = run(seed, SchemeSpec::Predicate, PredicationModel::Cmov, 60_000);
         assert!(
             s.mispredicts + s.early_resolved
                 <= s.cond_branches + s.mispredicts.min(s.cond_branches - s.early_resolved),
@@ -116,10 +116,10 @@ fn early_resolution_is_always_correct() {
 /// as their realistic counterparts, modulo sampling noise.
 #[test]
 fn ideal_variants_do_not_lose() {
-    let (real, _) = run(5, SchemeKind::Conventional, PredicationModel::Cmov, 120_000);
+    let (real, _) = run(5, SchemeSpec::Conventional, PredicationModel::Cmov, 120_000);
     let (ideal, _) = run(
         5,
-        SchemeKind::IdealConventional,
+        SchemeSpec::IdealConventional,
         PredicationModel::Cmov,
         120_000,
     );
@@ -129,10 +129,10 @@ fn ideal_variants_do_not_lose() {
         ideal.misprediction_rate(),
         real.misprediction_rate()
     );
-    let (real_p, _) = run(5, SchemeKind::Predicate, PredicationModel::Cmov, 120_000);
+    let (real_p, _) = run(5, SchemeSpec::Predicate, PredicationModel::Cmov, 120_000);
     let (ideal_p, _) = run(
         5,
-        SchemeKind::IdealPredicate,
+        SchemeSpec::IdealPredicate,
         PredicationModel::Cmov,
         120_000,
     );
@@ -151,14 +151,14 @@ fn machine_width_and_memory_sanity() {
     let compiled = compile(&spec, &CompileOptions::no_ifconv()).unwrap();
     let big = Simulator::new(
         &compiled.program,
-        SchemeKind::Conventional,
+        SchemeSpec::Conventional,
         PredicationModel::Cmov,
         CoreConfig::paper(),
     )
     .run(40_000);
     let small = Simulator::new(
         &compiled.program,
-        SchemeKind::Conventional,
+        SchemeSpec::Conventional,
         PredicationModel::Cmov,
         CoreConfig::tiny(),
     )
