@@ -117,14 +117,15 @@ const RUNNER_FLAGS: &[(&str, Arity)] = &[
 /// Strict argument validation: every flag must appear in `spec`, and at
 /// most `max_positionals` non-flag arguments are accepted. Runs before
 /// any subcommand does work, so a typo'd flag can never silently start
-/// a 200-program fuzz sweep.
-fn reject_unknown(
+/// a 200-program fuzz sweep. Returns the positional arguments in order,
+/// flag values skipped, so flags may come before or after them.
+fn reject_unknown<'a>(
     cmd: &str,
-    args: &[String],
+    args: &'a [String],
     spec: &[(&str, Arity)],
     max_positionals: usize,
-) -> Result<(), String> {
-    let mut positionals = 0usize;
+) -> Result<Vec<&'a str>, String> {
+    let mut positionals = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
@@ -145,16 +146,16 @@ fn reject_unknown(
                 }
             }
         } else {
-            positionals += 1;
-            if positionals > max_positionals {
+            if positionals.len() == max_positionals {
                 return Err(format!(
                     "unexpected argument `{a}` (see `ppsim {cmd} --help`)"
                 ));
             }
+            positionals.push(a);
         }
         i += 1;
     }
-    Ok(())
+    Ok(positionals)
 }
 
 struct Flags {
@@ -172,6 +173,14 @@ impl Flags {
 
     fn has(&self, flag: &str) -> bool {
         self.args.iter().any(|a| a == flag)
+    }
+
+    /// The value of `flag` parsed as `T`, `None` when the flag is absent.
+    /// A malformed value is an error that names the flag, never a default.
+    fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.value_of(flag)
+            .map(|v| v.parse().map_err(|_| format!("bad {flag} value `{v}`")))
+            .transpose()
     }
 }
 
@@ -293,35 +302,19 @@ fn trace_cmd(flags: &Flags, commits: u64) -> ExitCode {
     };
     match verb {
         Some("export") => {
-            if let Err(e) = reject_unknown(
-                "trace",
-                &rest.args,
-                &[
-                    ("--commits", Arity::Value),
-                    ("--ifconv", Arity::Switch),
-                    ("--note", Arity::Value),
-                ],
-                2,
-            ) {
-                eprintln!("trace export: {e}");
-                return usage();
-            }
-            // Skip over flag values when collecting positionals: the two
-            // remaining non-flag tokens are <benchmark> <out.pptrace>.
-            let mut pos = Vec::new();
-            let mut i = 0;
-            while i < rest.args.len() {
-                let a = rest.args[i].as_str();
-                if a == "--commits" || a == "--note" {
-                    i += 2;
-                    continue;
+            let spec = [
+                ("--commits", Arity::Value),
+                ("--ifconv", Arity::Switch),
+                ("--note", Arity::Value),
+            ];
+            let pos = match reject_unknown("trace", &rest.args, &spec, 2) {
+                Ok(pos) => pos,
+                Err(e) => {
+                    eprintln!("trace export: {e}");
+                    return usage();
                 }
-                if !a.starts_with("--") {
-                    pos.push(a);
-                }
-                i += 1;
-            }
-            let (Some(name), Some(out)) = (pos.first().copied(), pos.get(1).copied()) else {
+            };
+            let &[name, out] = pos.as_slice() else {
                 eprintln!("trace export: expected <benchmark> <out.pptrace>");
                 return usage();
             };
@@ -365,21 +358,20 @@ fn trace_cmd(flags: &Flags, commits: u64) -> ExitCode {
                 }
             };
             let rest = Flags { args: runner_rest };
-            if let Err(e) = reject_unknown(
-                "trace",
-                &rest.args,
-                &[
-                    ("--commits", Arity::Value),
-                    ("--top", Arity::Value),
-                    ("--name", Arity::Value),
-                    ("--json", Arity::Value),
-                ],
-                1,
-            ) {
-                eprintln!("trace import: {e}");
-                return usage();
-            }
-            let Some(path) = rest.args.first().filter(|a| !a.starts_with("--")) else {
+            let spec = [
+                ("--commits", Arity::Value),
+                ("--top", Arity::Value),
+                ("--name", Arity::Value),
+                ("--json", Arity::Value),
+            ];
+            let pos = match reject_unknown("trace", &rest.args, &spec, 1) {
+                Ok(pos) => pos,
+                Err(e) => {
+                    eprintln!("trace import: {e}");
+                    return usage();
+                }
+            };
+            let Some(&path) = pos.first() else {
                 eprintln!("trace import: expected a trace file");
                 return usage();
             };
@@ -396,11 +388,10 @@ fn trace_cmd(flags: &Flags, commits: u64) -> ExitCode {
                     s.branches, s.taken, s.static_branches
                 );
             }
-            let top: usize = match rest.value_of("--top").map(str::parse) {
-                None => 10,
-                Some(Ok(n)) => n,
-                Some(Err(_)) => {
-                    eprintln!("trace import: bad --top value");
+            let top: usize = match rest.parsed("--top") {
+                Ok(n) => n.unwrap_or(10),
+                Err(e) => {
+                    eprintln!("trace import: {e}");
                     return ExitCode::FAILURE;
                 }
             };
@@ -426,11 +417,14 @@ fn trace_cmd(flags: &Flags, commits: u64) -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("info") => {
-            if let Err(e) = reject_unknown("trace", &rest.args, &[], 1) {
-                eprintln!("trace info: {e}");
-                return usage();
-            }
-            let Some(path) = rest.args.first() else {
+            let pos = match reject_unknown("trace", &rest.args, &[], 1) {
+                Ok(pos) => pos,
+                Err(e) => {
+                    eprintln!("trace info: {e}");
+                    return usage();
+                }
+            };
+            let Some(&path) = pos.first() else {
                 eprintln!("trace info: expected a .pptrace file");
                 return usage();
             };
@@ -482,29 +476,34 @@ fn main() -> ExitCode {
     if cmd == "--help" || cmd == "-h" || cmd == "help" || flags.has("--help") || flags.has("-h") {
         return help();
     }
-    let commits: u64 = flags
-        .value_of("--commits")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500_000);
+    // Parsed once, strictly: a malformed budget fails and names the flag
+    // instead of silently simulating the default.
+    let commits_flag: Option<u64> = match flags.parsed("--commits") {
+        Ok(n) => n,
+        Err(e) => {
+            eprintln!("{cmd}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let commits = commits_flag.unwrap_or(500_000);
 
     match cmd.as_str() {
         "run" => {
-            if let Err(e) = reject_unknown(
-                "run",
-                &flags.args,
-                &[
-                    ("--scheme", Arity::Value),
-                    ("--commits", Arity::Value),
-                    ("--trace-events", Arity::Value),
-                    ("--trace", Arity::Value),
-                    ("--tiny", Arity::Switch),
-                ],
-                1,
-            ) {
-                eprintln!("run: {e}");
-                return usage();
-            }
-            let Some(path) = flags.args.first().filter(|a| !a.starts_with("--")) else {
+            let spec = [
+                ("--scheme", Arity::Value),
+                ("--commits", Arity::Value),
+                ("--trace-events", Arity::Value),
+                ("--trace", Arity::Value),
+                ("--tiny", Arity::Switch),
+            ];
+            let pos = match reject_unknown("run", &flags.args, &spec, 1) {
+                Ok(pos) => pos,
+                Err(e) => {
+                    eprintln!("run: {e}");
+                    return usage();
+                }
+            };
+            let Some(&path) = pos.first() else {
                 return usage();
             };
             let source = match std::fs::read_to_string(path) {
@@ -532,25 +531,31 @@ fn main() -> ExitCode {
                 },
             };
             // `--trace` kept as an alias for one release.
-            let trace_events = flags
-                .value_of("--trace-events")
-                .or_else(|| flags.value_of("--trace"))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0);
+            let events_flag = if flags.has("--trace-events") {
+                "--trace-events"
+            } else {
+                "--trace"
+            };
+            let trace_events = match flags.parsed(events_flag) {
+                Ok(n) => n.unwrap_or(0),
+                Err(e) => {
+                    eprintln!("run: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             simulate(&program, scheme, commits, trace_events, flags.has("--tiny"));
             ExitCode::SUCCESS
         }
         "compile" => {
-            if let Err(e) = reject_unknown(
-                "compile",
-                &flags.args,
-                &[("--ifconv", Arity::Switch), ("--listing", Arity::Switch)],
-                1,
-            ) {
-                eprintln!("compile: {e}");
-                return usage();
-            }
-            let Some(name) = flags.args.first().filter(|a| !a.starts_with("--")) else {
+            let spec = [("--ifconv", Arity::Switch), ("--listing", Arity::Switch)];
+            let pos = match reject_unknown("compile", &flags.args, &spec, 1) {
+                Ok(pos) => pos,
+                Err(e) => {
+                    eprintln!("compile: {e}");
+                    return usage();
+                }
+            };
+            let Some(&name) = pos.first() else {
                 return usage();
             };
             let Some(spec) = find_benchmark(name) else {
@@ -585,23 +590,22 @@ fn main() -> ExitCode {
             // two paths (the bit-identity guarantee the replay engine
             // rests on). With `--trace FILE`, times an imported stream
             // solo-vs-fused instead (no inline machine exists there).
-            if let Err(e) = reject_unknown(
-                "bench",
-                &flags.args,
-                &[
-                    ("--only", Arity::Value),
-                    ("--commits", Arity::Value),
-                    ("--json", Arity::Value),
-                    ("--sample", Arity::OptionalValue),
-                    ("--trace", Arity::Value),
-                    ("--repeat", Arity::Value),
-                    ("--phases", Arity::Switch),
-                ],
-                1,
-            ) {
-                eprintln!("bench: {e}");
-                return usage();
-            }
+            let spec = [
+                ("--only", Arity::Value),
+                ("--commits", Arity::Value),
+                ("--json", Arity::Value),
+                ("--sample", Arity::OptionalValue),
+                ("--trace", Arity::Value),
+                ("--repeat", Arity::Value),
+                ("--phases", Arity::Switch),
+            ];
+            let pos = match reject_unknown("bench", &flags.args, &spec, 1) {
+                Ok(pos) => pos,
+                Err(e) => {
+                    eprintln!("bench: {e}");
+                    return usage();
+                }
+            };
             // --repeat / --phases belong to the grid bench; the sampled
             // and imported-trace variants time a different schedule, so
             // silently ignoring the flags there would misreport.
@@ -652,12 +656,12 @@ fn main() -> ExitCode {
                 phases,
                 ..simbench::BenchConfig::default()
             };
-            if let Some(name) = flags.args.first().filter(|a| !a.starts_with("--")) {
+            if let Some(&name) = pos.first() {
                 if find_benchmark(name).is_none() {
                     eprintln!("unknown benchmark `{name}` (try `ppsim list`)");
                     return ExitCode::FAILURE;
                 }
-                cfg.only = vec![name.clone()];
+                cfg.only = vec![name.to_string()];
             }
             if let Some(v) = flags.value_of("--only") {
                 cfg.only = v.split(',').map(|s| s.trim().to_string()).collect();
@@ -721,14 +725,8 @@ fn main() -> ExitCode {
             };
             let rest_flags = Flags { args: rest };
             let mut cfg = ExperimentConfig::from_env();
-            if let Some(v) = rest_flags.value_of("--commits") {
-                match v.parse() {
-                    Ok(n) => cfg.commits = n,
-                    Err(_) => {
-                        eprintln!("suite: bad --commits value `{v}`");
-                        return ExitCode::FAILURE;
-                    }
-                }
+            if let Some(n) = commits_flag {
+                cfg.commits = n;
             }
             if let Some(v) = rest_flags.value_of("--only") {
                 cfg.only = v.split(',').map(|s| s.trim().to_string()).collect();
@@ -955,25 +953,19 @@ fn main() -> ExitCode {
             // Scriptable client: sends request lines from a file (or
             // stdin with `-`), prints one deterministic `data` line per
             // request on stdout; progress goes to stderr.
-            if let Err(e) = reject_unknown(
-                "submit",
-                &flags.args,
-                &[
-                    ("--addr", Arity::Value),
-                    ("--raw", Arity::Value),
-                    ("--quiet", Arity::Switch),
-                ],
-                1,
-            ) {
-                eprintln!("submit: {e}");
-                return usage();
-            }
-            let source = flags
-                .args
-                .first()
-                .filter(|a| !a.starts_with("--"))
-                .map(String::as_str)
-                .unwrap_or("-");
+            let spec = [
+                ("--addr", Arity::Value),
+                ("--raw", Arity::Value),
+                ("--quiet", Arity::Switch),
+            ];
+            let pos = match reject_unknown("submit", &flags.args, &spec, 1) {
+                Ok(pos) => pos,
+                Err(e) => {
+                    eprintln!("submit: {e}");
+                    return usage();
+                }
+            };
+            let source = pos.first().copied().unwrap_or("-");
             let requests = if source == "-" {
                 use std::io::Read as _;
                 let mut s = String::new();
@@ -1012,12 +1004,14 @@ fn main() -> ExitCode {
         "cache" => {
             // Inspect or clear the on-disk result cache the runner (and
             // the serve daemon) share.
-            if let Err(e) =
-                reject_unknown("cache", &flags.args, &[("--cache-dir", Arity::Value)], 1)
-            {
-                eprintln!("cache: {e}");
-                return usage();
-            }
+            let pos =
+                match reject_unknown("cache", &flags.args, &[("--cache-dir", Arity::Value)], 1) {
+                    Ok(pos) => pos,
+                    Err(e) => {
+                        eprintln!("cache: {e}");
+                        return usage();
+                    }
+                };
             let dir = flags
                 .value_of("--cache-dir")
                 .map(std::path::PathBuf::from)
@@ -1029,7 +1023,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            match flags.args.first().map(String::as_str) {
+            match pos.first().copied() {
                 Some("stats") => {
                     let usage = cache.usage();
                     println!(

@@ -9,6 +9,9 @@
 //!   work — `ppsim check --help` must never start a fuzz sweep;
 //! * every subcommand rejects flags it does not understand instead of
 //!   silently ignoring them and running anyway;
+//! * positional arguments count wherever they sit among the flags, and a
+//!   malformed number fails and names its flag instead of falling back
+//!   to a default;
 //! * a trace exported to `.pptrace` and re-imported reports the same
 //!   workload, and a CBP branch log import surfaces MPKI and the
 //!   ip-labelled H2P table.
@@ -121,6 +124,90 @@ fn missing_flag_values_and_unknown_commands_fail() {
     let out = ppsim(&["bench", "--only"]);
     assert!(!out.status.success(), "--only with no value is an error");
     assert!(stderr(&out).contains("needs a value"));
+}
+
+#[test]
+fn flags_may_come_before_positional_arguments() {
+    let out = ppsim(&["compile", "--ifconv", "gzip"]);
+    assert!(out.status.success(), "compile: {}", stderr(&out));
+    assert!(stderr(&out).contains("if-converted"), "{}", stderr(&out));
+
+    let program = scratch("flag-first.s");
+    std::fs::write(&program, "movl r1 = 7\nhalt\n").unwrap();
+    let out = ppsim(&["run", "--commits", "100", program.to_str().unwrap()]);
+    assert!(out.status.success(), "run: {}", stderr(&out));
+    assert!(stdout(&out).contains("halted"), "{}", stdout(&out));
+
+    let trace = scratch("flag-first.pptrace");
+    let trace_s = trace.to_str().unwrap();
+    let out = ppsim(&["trace", "export", "--commits", "3000", "gzip", trace_s]);
+    assert!(out.status.success(), "export: {}", stderr(&out));
+    let out = ppsim(&[
+        "trace",
+        "import",
+        "--commits",
+        "3000",
+        "--no-cache",
+        trace_s,
+    ]);
+    assert!(out.status.success(), "import: {}", stderr(&out));
+    assert!(stdout(&out).contains("MPKI"), "{}", stdout(&out));
+
+    let json = scratch("flag-first-bench.json");
+    let json_s = json.to_str().unwrap();
+    let out = ppsim(&["bench", "--commits", "2000", "--json", json_s, "gzip"]);
+    assert!(out.status.success(), "bench: {}", stderr(&out));
+    assert!(
+        stdout(&out).contains("bench: 1 benchmarks"),
+        "the named benchmark alone is benched: {}",
+        stdout(&out)
+    );
+
+    let cache = scratch("flag-first-cache");
+    let out = ppsim(&["cache", "--cache-dir", cache.to_str().unwrap(), "stats"]);
+    assert!(out.status.success(), "cache: {}", stderr(&out));
+
+    // The request file is read even after `--addr`; a missing one fails
+    // before any connection is tried, so no server is needed.
+    let out = ppsim(&["submit", "--addr", "127.0.0.1:1", "missing.json"]);
+    assert!(!out.status.success());
+    assert!(stderr(&out).contains("missing.json"), "{}", stderr(&out));
+}
+
+#[test]
+fn malformed_numbers_fail_and_name_their_flag() {
+    let program = scratch("numbers.s");
+    std::fs::write(&program, "halt\n").unwrap();
+    let program = program.to_str().unwrap();
+    let trace = scratch("numbers.pptrace");
+    let trace_s = trace.to_str().unwrap();
+    let out = ppsim(&["trace", "export", "gzip", trace_s, "--commits", "12x"]);
+    assert!(!out.status.success(), "a bad budget must not export");
+    assert!(stderr(&out).contains("--commits"), "{}", stderr(&out));
+    assert!(!trace.exists(), "nothing is written on a bad budget");
+
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/cbp-branches.txt");
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["trace", "import", fixture, "--commits", "12x"],
+            "--commits",
+        ),
+        (&["trace", "import", fixture, "--top", "x"], "--top"),
+        (&["run", program, "--commits", "1e3"], "--commits"),
+        (&["run", program, "--trace-events", "x"], "--trace-events"),
+        (&["run", program, "--trace", "-1"], "--trace"),
+        (&["bench", "gzip", "--commits", "12x"], "--commits"),
+        (&["suite", "--commits", "12x"], "--commits"),
+    ];
+    for (args, flag) in cases {
+        let out = ppsim(args);
+        assert!(!out.status.success(), "ppsim {args:?} should fail");
+        assert!(
+            stderr(&out).contains(&format!("bad {flag} value")),
+            "ppsim {args:?} should name {flag}: {}",
+            stderr(&out)
+        );
+    }
 }
 
 #[test]
