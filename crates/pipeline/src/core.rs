@@ -1149,7 +1149,8 @@ impl<S: InsnSource> Simulator<S> {
         if cp.pushed {
             self.ghr_pushes += 1;
         }
-        for ((target, write), prediction) in [pt, pf].into_iter().zip(writes).zip(cp.targets) {
+        let [ppt, ppf] = cp.targets;
+        for (target, write, prediction) in [(pt, writes[0], ppt), (pf, writes[1], ppf)] {
             let (Some(target), Some(prediction)) = (target, prediction) else {
                 continue;
             };
@@ -1172,6 +1173,9 @@ impl<S: InsnSource> Simulator<S> {
     /// push counter, so compares fetched inside the corruption window have
     /// already predicted with the wrong bit.
     fn apply_pending_repairs(&mut self, now: u64) {
+        if self.pending_repairs.is_empty() {
+            return;
+        }
         let Some(predicate) = self.predicate.as_mut() else {
             return;
         };
