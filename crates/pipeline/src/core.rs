@@ -986,7 +986,7 @@ impl<S: InsnSource> Simulator<S> {
             // Writeback-time history repair: if the bit this compare
             // pushed was wrong, schedule its correction for the writeback
             // cycle. Only a realistic predicate role leaves a repair tag.
-            if self.cfg.history_repair {
+            if self.cfg.history_repair && self.predicate.is_some() {
                 if let Some(primary) = pt.or(pf) {
                     let i = primary.index();
                     if let (Some((pv, _)), Some(tag)) = (self.preds.pred(i), self.preds.tag[i]) {

@@ -359,31 +359,41 @@ impl SchemeSpec {
         perceptron: Option<PerceptronConfig>,
         predicate: Option<PredicateConfig>,
     ) -> (BranchRole, Option<PredicateRole>) {
-        let gshare = |l2| BranchRole::Gshare {
-            l1: Gshare::new(GshareConfig::paper_4kb()),
-            l2,
-        };
+        // The first-level gshare is allocated before the structure paired
+        // with it, the order the pipeline has always used, so the tables
+        // keep their heap layout.
+        let l1 = || Gshare::new(GshareConfig::paper_4kb());
         match self {
             SchemeSpec::Conventional => {
+                let l1 = l1();
                 let l2 = perceptron.unwrap_or_else(PerceptronConfig::paper_148kb);
-                (gshare(Some(PerceptronPredictor::new(l2))), None)
+                let l2 = Some(PerceptronPredictor::new(l2));
+                (BranchRole::Gshare { l1, l2 }, None)
             }
             SchemeSpec::PepPa => (
                 BranchRole::PepPa(PepPa::new(PepPaConfig::paper_144kb())),
                 None,
             ),
             SchemeSpec::Predicate => {
+                let l1 = l1();
                 let pvt = predicate.unwrap_or_else(PredicateConfig::paper_148kb);
                 let pp = PredicatePredictor::new(pvt);
-                (gshare(None), Some(PredicateRole::Perceptron(pp)))
+                (
+                    BranchRole::Gshare { l1, l2: None },
+                    Some(PredicateRole::Perceptron(pp)),
+                )
             }
             SchemeSpec::IdealConventional => {
                 let p = IdealPerceptron::new(PerceptronConfig::paper_148kb());
                 (BranchRole::Ideal(p), None)
             }
             SchemeSpec::IdealPredicate => {
+                let l1 = l1();
                 let pp = IdealPredicatePredictor::new(PerceptronConfig::paper_148kb());
-                (gshare(None), Some(PredicateRole::Ideal(pp)))
+                (
+                    BranchRole::Gshare { l1, l2: None },
+                    Some(PredicateRole::Ideal(pp)),
+                )
             }
             SchemeSpec::Tage => (BranchRole::Tage(Tage::new(TageConfig::paper_144kb())), None),
             SchemeSpec::TageH2p => {
@@ -394,12 +404,16 @@ impl SchemeSpec {
                 )
             }
             SchemeSpec::TagePredicate => {
+                let l1 = l1();
                 let pvt = predicate.map_or_else(
                     TagePredicateConfig::paper_144kb,
                     TagePredicateConfig::from_predicate,
                 );
                 let pp = TagePredicatePredictor::new(pvt);
-                (gshare(None), Some(PredicateRole::Tage(pp)))
+                (
+                    BranchRole::Gshare { l1, l2: None },
+                    Some(PredicateRole::Tage(pp)),
+                )
             }
         }
     }
