@@ -116,11 +116,11 @@ impl EventKind {
                 exec,
                 commit,
             } => obj
-                .field("fetch", Json::Int(fetch as i64))
-                .field("rename", Json::Int(rename as i64))
-                .field("issue", Json::Int(issue as i64))
-                .field("exec", Json::Int(exec as i64))
-                .field("commit", Json::Int(commit as i64)),
+                .field("fetch", fetch)
+                .field("rename", rename)
+                .field("issue", issue)
+                .field("exec", exec)
+                .field("commit", commit),
             EventKind::PredictionUndone
             | EventKind::PredicationFlush
             | EventKind::BranchFlush
@@ -147,9 +147,9 @@ impl TraceEvent {
     /// Renders the event as a flat JSON object.
     pub fn to_json(&self) -> Json {
         let obj = Json::obj()
-            .field("seq", Json::Int(self.seq as i64))
-            .field("pc", Json::Int(self.pc as i64))
-            .field("cycle", Json::Int(self.cycle as i64))
+            .field("seq", self.seq)
+            .field("pc", self.pc)
+            .field("cycle", self.cycle)
             .field("kind", Json::Str(self.kind.tag().to_string()));
         self.kind.detail_fields(obj)
     }
@@ -256,8 +256,8 @@ impl EventRing {
     /// Renders the trace as `{"recorded", "dropped", "events": [...]}`.
     pub fn to_json(&self) -> Json {
         Json::obj()
-            .field("recorded", Json::Int(self.recorded as i64))
-            .field("dropped", Json::Int(self.dropped() as i64))
+            .field("recorded", self.recorded)
+            .field("dropped", self.dropped())
             .field(
                 "events",
                 Json::Arr(self.buf.iter().map(TraceEvent::to_json).collect()),
@@ -333,6 +333,27 @@ mod tests {
         assert!(j.contains("\"commit\":5"), "{j}");
         let parsed = Json::parse(&j).unwrap();
         assert_eq!(parsed.get("recorded").and_then(Json::as_i64), Some(3));
+    }
+
+    #[test]
+    fn json_saturates_values_past_i64() {
+        let e = TraceEvent {
+            seq: u64::MAX,
+            pc: 1 << 63,
+            cycle: 9,
+            kind: EventKind::Retire {
+                fetch: u64::MAX,
+                rename: 1,
+                issue: 2,
+                exec: 3,
+                commit: u64::MAX,
+            },
+        };
+        let j = e.to_json().to_string();
+        let max = i64::MAX;
+        assert!(j.contains(&format!("\"seq\":{max},\"pc\":{max},")), "{j}");
+        assert!(j.contains(&format!("\"commit\":{max}")), "{j}");
+        assert!(!j.contains('-'), "{j}");
     }
 
     #[test]

@@ -180,8 +180,10 @@ impl From<i64> for Json {
 }
 impl From<u64> for Json {
     fn from(u: u64) -> Json {
-        // Counters beyond i64 range cannot occur in our simulations; keep
-        // the conversion total anyway.
+        // Saturates: a simulation never counts past i64::MAX, but a
+        // hand-edited cache entry can hold any u64, and it must not
+        // render as a negative count. Every u64 path into JSON goes
+        // through here.
         Json::Int(i64::try_from(u).unwrap_or(i64::MAX))
     }
 }

@@ -115,9 +115,9 @@ impl PcHistogram {
                 .iter()
                 .map(|e| {
                     Json::Arr(vec![
-                        Json::Int(e.pc as i64),
-                        Json::Int(e.execs as i64),
-                        Json::Int(e.events as i64),
+                        Json::from(e.pc),
+                        Json::from(e.execs),
+                        Json::from(e.events),
                     ])
                 })
                 .collect(),
@@ -241,14 +241,14 @@ impl MetricSet {
         for (name, value) in &self.scalars {
             match *value {
                 MetricValue::Counter(c) => {
-                    counters = counters.field(name, Json::Int(c as i64));
+                    counters = counters.field(name, c);
                 }
                 MetricValue::Ratio { num, den } => {
                     ratios = ratios.field(
                         name,
                         Json::obj()
-                            .field("num", Json::Int(num as i64))
-                            .field("den", Json::Int(den as i64))
+                            .field("num", num)
+                            .field("den", den)
                             .field("value", Json::Num(value.value())),
                     );
                 }
@@ -330,6 +330,30 @@ mod tests {
         outer.counter("cycles", 1);
         outer.absorb("mem", &inner);
         assert_eq!(outer.counter_value("mem.accesses"), Some(7));
+    }
+
+    #[test]
+    fn values_past_i64_saturate_instead_of_turning_negative() {
+        // JSON integers here are i64s. A u64 beyond that range (only a
+        // hand-resealed cache entry can hold one) renders as i64::MAX.
+        let mut m = MetricSet::new();
+        m.counter("big", u64::MAX);
+        m.ratio("r", u64::MAX, 1 << 63);
+        m.histogram(
+            "sites",
+            PcHistogram::from_rows(vec![PcEntry {
+                pc: u64::MAX,
+                execs: 1 << 63,
+                events: i64::MAX as u64,
+            }]),
+        );
+        let max = i64::MAX;
+        assert_eq!(
+            m.to_json().to_string(),
+            format!(
+                r#"{{"counters":{{"big":{max}}},"ratios":{{"r":{{"num":{max},"den":{max},"value":2.0}}}},"per_pc":{{"sites":[[{max},{max},{max}]]}}}}"#
+            )
+        );
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl StallBreakdown {
     pub fn to_json(&self) -> Json {
         let mut obj = Json::obj();
         for (bucket, cycles) in self.iter() {
-            obj = obj.field(bucket.name(), Json::Int(cycles as i64));
+            obj = obj.field(bucket.name(), cycles);
         }
         obj
     }
@@ -153,6 +153,15 @@ mod tests {
         assert_eq!(m.counter_value("stall.issue_wait"), Some(4));
         assert_eq!(m.counter_value("stall.fetch_miss"), Some(0));
         assert_eq!(m.len(), 6);
+    }
+
+    #[test]
+    fn json_saturates_cycles_past_i64() {
+        let mut s = StallBreakdown::default();
+        s.set(StallBucket::IssueWait, u64::MAX);
+        let j = s.to_json().to_string();
+        assert!(j.contains(&format!("\"issue_wait\":{}", i64::MAX)), "{j}");
+        assert!(!j.contains('-'), "{j}");
     }
 
     #[test]
