@@ -8,8 +8,7 @@
 //! so reports are byte-identical regardless of worker count or cache
 //! state.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use ppsim_compiler::{WorkloadClass, WorkloadSpec};
 use ppsim_pipeline::{PredicationModel, SchemeSpec, SimStats};
@@ -250,9 +249,7 @@ impl Comparison {
                                 )
                                 .field(
                                     "metrics",
-                                    Json::Arr(
-                                        r.runs.iter().map(|s| s.metrics().to_json()).collect(),
-                                    ),
+                                    Json::Arr(r.runs.iter().map(SimStats::metrics_json).collect()),
                                 );
                             if !r.samples.is_empty() {
                                 obj = obj.field(
@@ -405,10 +402,10 @@ pub enum PlanSpec<'a> {
 /// grid builder behind every experiment. External callers (the serve
 /// daemon, the benchmark harness) build jobs through here and therefore
 /// share cache keys — and bytes — with batch runs. Multi-figure specs
-/// are deduplicated by canonical key, so cells shared between figures
-/// appear (and simulate) once; grids keep suite-major order. The runner
-/// reorders cache misses stream by stream before running each cell as
-/// its own job, so plan order never costs a second capture.
+/// are deduplicated, so cells shared between figures appear (and
+/// simulate) once; grids keep suite-major order. The runner reorders
+/// cache misses stream by stream before running each cell as its own
+/// job, so plan order never costs a second capture.
 pub fn plan(cfg: &ExperimentConfig, spec: PlanSpec) -> Vec<Job> {
     match spec {
         PlanSpec::Cell {
@@ -422,16 +419,39 @@ pub fn plan(cfg: &ExperimentConfig, spec: PlanSpec) -> Vec<Job> {
         PlanSpec::Fig6b => grid_jobs(cfg, true, &FIG6B_SCHEMES),
         PlanSpec::IpcAblation => grid_jobs(cfg, true, &IPC_SCHEMES),
         PlanSpec::FullReport => {
-            let mut jobs = plan(cfg, PlanSpec::Fig5 { ideal: false });
-            jobs.extend(plan(cfg, PlanSpec::Fig6a));
-            jobs.extend(plan(cfg, PlanSpec::Fig6b));
-            jobs.extend(plan(cfg, PlanSpec::IpcAblation));
-            let mut seen = std::collections::HashSet::new();
-            jobs.retain(|j| seen.insert(j.canon()));
+            // Every figure covers the same programs, so a cell is shared
+            // exactly when its column is: each figure keeps the columns
+            // no earlier figure planned (Figure 6a's selective predicate
+            // column is the IPC ablation's second, for one).
+            let figures: [(bool, &[Column]); 4] = [
+                (false, &fig5_schemes(false)),
+                (true, &FIG6A_SCHEMES),
+                (true, &FIG6B_SCHEMES),
+                (true, &IPC_SCHEMES),
+            ];
+            let mut planned: Vec<(bool, Column)> = Vec::new();
+            let mut jobs = Vec::new();
+            for (ifconv, columns) in figures {
+                let fresh: Vec<Column> = columns
+                    .iter()
+                    .copied()
+                    .filter(|&col| {
+                        let new = !planned.contains(&(ifconv, col));
+                        if new {
+                            planned.push((ifconv, col));
+                        }
+                        new
+                    })
+                    .collect();
+                jobs.extend(grid_jobs(cfg, ifconv, &fresh));
+            }
             jobs
         }
     }
 }
+
+/// One scheme column of a figure: (scheme, predication, shadow).
+type Column = (SchemeSpec, PredicationModel, bool);
 
 /// The jobs of a (suite × schemes) grid in suite-major order.
 fn grid_jobs(
@@ -459,15 +479,19 @@ struct PlanCell {
     windows: Vec<SimStats>,
 }
 
-/// The executed results of a plan, indexed by canonical cell key.
+/// The executed results of a plan, indexed by cell.
 ///
 /// Collected **once** per plan and shared by every figure that reads
 /// from it — figures that overlap (the full report's grids share
 /// cells) assemble from the same simulation instead of re-running it.
+/// Each cell's canonical key is derived once, at collection; lookups
+/// find a cell among its program's cells by job equality instead.
 #[derive(Clone, Debug, Default)]
 pub struct PlanResults {
-    /// Each unique cell's position in `cells`, by canonical key.
-    index: HashMap<String, usize>,
+    /// The unique cells, in collection order.
+    jobs: Vec<Job>,
+    /// Positions in `jobs` (and `cells`) by benchmark name.
+    by_bench: HashMap<String, Vec<usize>>,
     cells: Vec<PlanCell>,
     /// Cells this collection simulated rather than read from the cache.
     simulated: usize,
@@ -491,13 +515,16 @@ impl PlanResults {
         jobs: &[Job],
         progress: &(dyn Fn(u64, u64) + Sync),
     ) -> PlanResults {
-        // One canon per job serves as both the dedup key and the index.
-        let mut index = HashMap::with_capacity(jobs.len());
+        // One canon per cell: the dedup key here, the cache key in the
+        // runner.
+        let mut seen = HashSet::with_capacity(jobs.len());
         let mut unique: Vec<Job> = Vec::new();
+        let mut canons: Vec<String> = Vec::new();
         for j in jobs {
-            if let Entry::Vacant(slot) = index.entry(j.canon()) {
-                slot.insert(unique.len());
+            let canon = j.canon();
+            if seen.insert(canon.clone()) {
                 unique.push(j.clone());
+                canons.push(canon);
             }
         }
         let mut simulated = 0;
@@ -514,7 +541,7 @@ impl PlanResults {
                 })
                 .collect(),
             None => runner
-                .run_grid_reporting(&unique, progress)
+                .run_grid_keyed(&unique, &canons, progress)
                 .into_iter()
                 .map(|r| {
                     simulated += usize::from(!r.from_cache);
@@ -525,8 +552,13 @@ impl PlanResults {
                 })
                 .collect(),
         };
+        let mut by_bench: HashMap<String, Vec<usize>> = HashMap::new();
+        for (i, j) in unique.iter().enumerate() {
+            by_bench.entry(j.benchmark.clone()).or_default().push(i);
+        }
         PlanResults {
-            index,
+            jobs: unique,
+            by_bench,
             cells,
             simulated,
         }
@@ -549,10 +581,24 @@ impl PlanResults {
     }
 
     fn cell(&self, job: &Job) -> &PlanCell {
-        let canon = job.canon();
-        match self.index.get(&canon) {
+        let mine = self
+            .by_bench
+            .get(&job.benchmark)
+            .map_or(&[][..], Vec::as_slice);
+        let found = match job.ifconv_threshold {
+            // Without a float among its inputs, a job equals another
+            // exactly when their canonical keys do.
+            None => mine.iter().find(|&&i| self.jobs[i] == *job),
+            // `==` on a threshold would conflate 0.0 with -0.0 and miss
+            // NaN, both of which the key tells apart by bits.
+            Some(_) => {
+                let canon = job.canon();
+                mine.iter().find(|&&i| self.jobs[i].canon() == canon)
+            }
+        };
+        match found {
             Some(&i) => &self.cells[i],
-            None => panic!("plan results missing cell {canon}"),
+            None => panic!("plan results missing cell {}", job.canon()),
         }
     }
 

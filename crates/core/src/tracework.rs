@@ -298,7 +298,7 @@ impl TraceReport {
                                             .collect(),
                                     ),
                                 )
-                                .field("metrics", s.metrics().to_json())
+                                .field("metrics", s.metrics_json())
                         })
                         .collect(),
                 ),

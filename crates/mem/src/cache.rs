@@ -118,18 +118,6 @@ impl CacheStats {
                 - base.write_buffer_stall_cycles,
         }
     }
-
-    /// Adds `other`'s counters into `self` (aggregating the measured
-    /// windows of a sampled run into one suite-level estimate).
-    pub fn accumulate(&mut self, other: &CacheStats) {
-        self.accesses += other.accesses;
-        self.hits += other.hits;
-        self.primary_misses += other.primary_misses;
-        self.secondary_misses += other.secondary_misses;
-        self.mshr_stall_cycles += other.mshr_stall_cycles;
-        self.writebacks += other.writebacks;
-        self.write_buffer_stall_cycles += other.write_buffer_stall_cycles;
-    }
 }
 
 #[derive(Clone, Copy, Debug)]

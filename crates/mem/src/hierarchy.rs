@@ -2,7 +2,6 @@
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::tlb::{Tlb, TlbConfig};
-use ppsim_obs::MetricSet;
 
 /// Full-hierarchy configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,49 +62,6 @@ impl HierarchyStats {
             itlb: (self.itlb.0 - base.itlb.0, self.itlb.1 - base.itlb.1),
             dtlb: (self.dtlb.0 - base.dtlb.0, self.dtlb.1 - base.dtlb.1),
         }
-    }
-
-    /// Adds `other`'s counters into `self` (aggregating sampled measured
-    /// windows; the inverse direction of [`HierarchyStats::delta_since`]).
-    pub fn accumulate(&mut self, other: &HierarchyStats) {
-        self.l1i.accumulate(&other.l1i);
-        self.l1d.accumulate(&other.l1d);
-        self.l2.accumulate(&other.l2);
-        self.itlb = (self.itlb.0 + other.itlb.0, self.itlb.1 + other.itlb.1);
-        self.dtlb = (self.dtlb.0 + other.dtlb.0, self.dtlb.1 + other.dtlb.1);
-    }
-
-    /// Exports every counter onto a metric registry under stable names
-    /// (`l1i.accesses`, `l2.miss_ratio`, `dtlb.misses`, ...). Intended to
-    /// be absorbed into a simulation-wide [`MetricSet`] under a `mem.`
-    /// prefix.
-    pub fn metrics(&self) -> MetricSet {
-        let mut m = MetricSet::new();
-        for (level, s) in [("l1i", &self.l1i), ("l1d", &self.l1d), ("l2", &self.l2)] {
-            m.counter(&format!("{level}.accesses"), s.accesses);
-            m.counter(&format!("{level}.hits"), s.hits);
-            m.counter(&format!("{level}.primary_misses"), s.primary_misses);
-            m.counter(&format!("{level}.secondary_misses"), s.secondary_misses);
-            m.counter(&format!("{level}.mshr_stall_cycles"), s.mshr_stall_cycles);
-            m.counter(&format!("{level}.writebacks"), s.writebacks);
-            m.counter(
-                &format!("{level}.write_buffer_stall_cycles"),
-                s.write_buffer_stall_cycles,
-            );
-            // Saturate so synthetic stats (tests, hand-edited entries)
-            // with hits > accesses can't panic the exporter.
-            m.ratio(
-                &format!("{level}.miss_ratio"),
-                s.accesses.saturating_sub(s.hits),
-                s.accesses,
-            );
-        }
-        for (tlb, (hits, misses)) in [("itlb", self.itlb), ("dtlb", self.dtlb)] {
-            m.counter(&format!("{tlb}.hits"), hits);
-            m.counter(&format!("{tlb}.misses"), misses);
-            m.ratio(&format!("{tlb}.miss_ratio"), misses, hits + misses);
-        }
-        m
     }
 }
 

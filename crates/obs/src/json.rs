@@ -8,6 +8,11 @@
 //! the runner's reproducibility tests rely on. The parser exists chiefly
 //! so tests can round-trip emitted artifacts and assert well-formedness
 //! without external tooling.
+//!
+//! Hot renderers can skip the tree: [`write_u64`], [`write_f64`] and
+//! [`write_str`] are the emitter's own number and string writers, and a
+//! [`Json::Raw`] node embeds text written with them verbatim (how every
+//! per-run metric block reaches a report).
 
 use std::fmt::{self, Write as _};
 
@@ -29,6 +34,10 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object; keys keep insertion order.
     Obj(Vec<(String, Json)>),
+    /// JSON text rendered elsewhere, emitted verbatim. [`Json::parse`]
+    /// never produces one, so a tree holding one compares with a parsed
+    /// tree by its rendered bytes, not with `==`.
+    Raw(String),
 }
 
 impl Json {
@@ -107,18 +116,9 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => write!(out, "{i}").expect("formatting into a String"),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    // `{:?}` is the shortest round-trippable rendering
-                    // and always keeps a fractional part (or exponent),
-                    // so whole-number floats stay floats on re-parse.
-                    write!(out, "{n:?}").expect("formatting into a String");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_string(s, out),
+            Json::Int(i) => write_i64(out, *i),
+            Json::Num(n) => write_f64(out, *n),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -135,12 +135,13 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_string(k, out);
+                    write_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
                 out.push('}');
             }
+            Json::Raw(text) => out.push_str(text),
         }
     }
 
@@ -213,10 +214,49 @@ impl From<Vec<Json>> for Json {
     }
 }
 
+/// Writes `v` as a JSON integer, saturating at `i64::MAX` exactly as
+/// `Json::from(v)` renders.
+pub fn write_u64(out: &mut String, v: u64) {
+    write_i64(out, i64::try_from(v).unwrap_or(i64::MAX));
+}
+
+/// Writes `v` in decimal: the digits fill a stack buffer from the
+/// right, so nothing goes through the formatting machinery.
+fn write_i64(out: &mut String, v: i64) {
+    let mut digits = [0u8; 20];
+    let mut n = v.unsigned_abs();
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Writes `v` as a JSON number, as [`Json::Num`] renders: non-finite
+/// values emit `null`.
+pub fn write_f64(out: &mut String, v: f64) {
+    if v.is_finite() {
+        // `{:?}` is the shortest round-trippable rendering and always
+        // keeps a fractional part (or exponent), so whole-number floats
+        // stay floats on re-parse.
+        write!(out, "{v:?}").expect("formatting into a String");
+    } else {
+        out.push_str("null");
+    }
+}
+
 /// Writes `s` as a JSON string literal. Runs of bytes that need no
 /// escape are copied in one call each; every escaped byte is ASCII, so
 /// the run boundaries always fall on `char` boundaries.
-fn write_string(s: &str, out: &mut String) {
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -513,6 +553,41 @@ mod tests {
     fn non_finite_floats_emit_null() {
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
+    }
+
+    #[test]
+    fn integer_writer_matches_display_at_the_edges() {
+        for v in [
+            0,
+            1,
+            -1,
+            9,
+            10,
+            -10,
+            99,
+            100,
+            i64::MAX,
+            i64::MIN,
+            i64::MIN + 1,
+        ] {
+            let mut out = String::new();
+            write_i64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+        let mut out = String::new();
+        write_u64(&mut out, u64::MAX);
+        assert_eq!(out, i64::MAX.to_string(), "u64 values saturate");
+    }
+
+    #[test]
+    fn raw_nodes_emit_verbatim_and_parse_as_trees() {
+        let inner = Json::obj().field("a", 1i64).field("b", Json::Arr(vec![]));
+        let with_raw = Json::obj().field("x", Json::Raw(inner.to_string()));
+        let with_tree = Json::obj().field("x", inner);
+        assert_eq!(with_raw.to_string(), with_tree.to_string());
+        let parsed = Json::parse(&with_raw.to_string()).unwrap();
+        assert_eq!(parsed, with_tree, "parsing never yields a raw node");
+        assert_ne!(parsed, with_raw, "so trees holding one compare by bytes");
     }
 
     #[test]

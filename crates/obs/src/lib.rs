@@ -6,9 +6,15 @@
 //! can sit on top of it:
 //!
 //! * [`MetricSet`] — a typed metric registry (counters, ratios, per-PC
-//!   histograms) with **stable, sorted names**. `SimStats` and
-//!   `HierarchyStats` export onto it, so every report and JSON artifact
-//!   draws from one canonical namespace instead of ad-hoc field dumps.
+//!   histograms) with **stable, sorted names**, so every report and JSON
+//!   artifact draws from one canonical namespace instead of ad-hoc field
+//!   dumps. `SimStats` exports onto it from the one static table that
+//!   lists its metric block (`SimStats::METRICS` in `ppsim-pipeline`).
+//! * [`write_metric_block`] — writes a metric block's JSON text, byte for
+//!   byte what [`MetricSet::to_json`] renders, with no registry or tree
+//!   in between. The same table drives it, and artifacts and served
+//!   answers embed the text verbatim as a [`Json::Raw`] node: a warm
+//!   served report holds one block per run of Figures 5 and 6a.
 //! * [`StallBucket`] / [`StallBreakdown`] — per-stage stall attribution.
 //!   The pipeline charges every simulated cycle to exactly one bucket, so
 //!   `cycles == Σ buckets` holds by construction and IPC regressions can
@@ -47,5 +53,5 @@ mod stall;
 
 pub use event::{EventKind, EventRing, TraceEvent};
 pub use json::Json;
-pub use metric::{MetricSet, MetricValue, PcEntry, PcHistogram};
+pub use metric::{write_metric_block, MetricSet, MetricValue, PcEntry, PcHistogram};
 pub use stall::{StallBreakdown, StallBucket};

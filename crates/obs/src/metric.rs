@@ -16,7 +16,7 @@
 //! duplicate names panic (a registry discipline bug, not a runtime
 //! condition). Export order is therefore deterministic byte-for-byte.
 
-use crate::json::Json;
+use crate::json::{write_f64, write_u64, Json};
 
 /// The value of one registered metric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,18 +167,6 @@ impl MetricSet {
         }
     }
 
-    /// Copies every metric of `other` in under `prefix` (joined with a
-    /// dot), e.g. `absorb("mem", hierarchy_metrics)` registers
-    /// `mem.l1d.accesses`.
-    pub fn absorb(&mut self, prefix: &str, other: &MetricSet) {
-        for (name, value) in &other.scalars {
-            self.insert_scalar(&format!("{prefix}.{name}"), *value);
-        }
-        for (name, hist) in &other.histograms {
-            self.histogram(&format!("{prefix}.{name}"), hist.clone());
-        }
-    }
-
     /// Looks up a scalar metric by name.
     pub fn get(&self, name: &str) -> Option<MetricValue> {
         self.scalars
@@ -265,6 +253,74 @@ impl MetricSet {
     }
 }
 
+/// Writes one metric block as JSON text: byte for byte what
+/// [`MetricSet::to_json`] renders for the same metrics, with no registry
+/// and no tree in between. A table-driven exporter (`SimStats`'s metric
+/// table) writes its block straight into an answer buffer through here.
+///
+/// `scalars` yields every counter and ratio in sorted name order; the
+/// writer walks it twice, counters first. `histograms` yields each
+/// per-PC histogram in sorted name order, with its rows sorted by PC and
+/// no PC repeated. Names are written as they are, so they must need no
+/// JSON escaping.
+pub fn write_metric_block<'a, S, R>(
+    out: &mut String,
+    scalars: S,
+    histograms: impl IntoIterator<Item = (&'a str, R)>,
+) where
+    S: Iterator<Item = (&'a str, MetricValue)> + Clone,
+    R: IntoIterator<Item = PcEntry>,
+{
+    fn key(out: &mut String, first: &mut bool, name: &str) {
+        if !*first {
+            out.push(',');
+        }
+        *first = false;
+        out.push('"');
+        out.push_str(name);
+        out.push_str("\":");
+    }
+    out.push_str("{\"counters\":{");
+    let mut first = true;
+    for (name, value) in scalars.clone() {
+        if let MetricValue::Counter(c) = value {
+            key(out, &mut first, name);
+            write_u64(out, c);
+        }
+    }
+    out.push_str("},\"ratios\":{");
+    first = true;
+    for (name, value) in scalars {
+        if let MetricValue::Ratio { num, den } = value {
+            key(out, &mut first, name);
+            out.push_str("{\"num\":");
+            write_u64(out, num);
+            out.push_str(",\"den\":");
+            write_u64(out, den);
+            out.push_str(",\"value\":");
+            write_f64(out, value.value());
+            out.push('}');
+        }
+    }
+    out.push_str("},\"per_pc\":{");
+    first = true;
+    for (name, rows) in histograms {
+        key(out, &mut first, name);
+        out.push('[');
+        for (i, e) in rows.into_iter().enumerate() {
+            out.push_str(if i == 0 { "[" } else { ",[" });
+            write_u64(out, e.pc);
+            out.push(',');
+            write_u64(out, e.execs);
+            out.push(',');
+            write_u64(out, e.events);
+            out.push(']');
+        }
+        out.push(']');
+    }
+    out.push_str("}}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,13 +379,35 @@ mod tests {
     }
 
     #[test]
-    fn absorb_prefixes_names() {
-        let mut inner = MetricSet::new();
-        inner.counter("accesses", 7);
-        let mut outer = MetricSet::new();
-        outer.counter("cycles", 1);
-        outer.absorb("mem", &inner);
-        assert_eq!(outer.counter_value("mem.accesses"), Some(7));
+    fn block_writer_matches_the_registry_rendering() {
+        let rows = |n: u64| {
+            (0..n)
+                .map(|i| PcEntry {
+                    pc: i * 4,
+                    execs: i * i + 1,
+                    events: i % 3,
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut full = MetricSet::new();
+        full.counter("b.count", 2);
+        full.ratio("a.rate", 1, 3);
+        full.counter("a.count", u64::MAX);
+        full.ratio("z.rate", 5, 0);
+        full.histogram("sites", PcHistogram::from_rows(rows(3)));
+        full.histogram("empty", PcHistogram::default());
+        let mut ratios_only = MetricSet::new();
+        ratios_only.ratio("r", 0, 0);
+        for m in [full, ratios_only, MetricSet::new()] {
+            let mut out = String::new();
+            write_metric_block(
+                &mut out,
+                m.scalars.iter().map(|(n, v)| (n.as_str(), *v)),
+                m.iter_histograms()
+                    .map(|(n, h)| (n, h.entries().iter().copied())),
+            );
+            assert_eq!(out, m.to_json().to_string());
+        }
     }
 
     #[test]

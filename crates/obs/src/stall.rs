@@ -7,7 +7,6 @@
 //! first question of any IPC regression: *where did the cycles go?*
 
 use crate::json::Json;
-use crate::metric::MetricSet;
 
 /// Why the commit frontier advanced: each simulated cycle belongs to
 /// exactly one of these causes.
@@ -102,14 +101,6 @@ impl StallBreakdown {
         StallBucket::ALL.into_iter().map(|b| (b, self.get(b)))
     }
 
-    /// Registers every bucket as a counter on `metrics` under
-    /// `<prefix>.<bucket>` (e.g. `stall.fetch_miss`).
-    pub fn register(&self, metrics: &mut MetricSet, prefix: &str) {
-        for (bucket, cycles) in self.iter() {
-            metrics.counter(&format!("{prefix}.{}", bucket.name()), cycles);
-        }
-    }
-
     /// Renders the breakdown as a JSON object in canonical bucket order.
     pub fn to_json(&self) -> Json {
         let mut obj = Json::obj();
@@ -142,17 +133,6 @@ mod tests {
             assert_eq!(StallBucket::parse(b.name()), Some(b));
         }
         assert_eq!(StallBucket::parse("nope"), None);
-    }
-
-    #[test]
-    fn registers_prefixed_counters() {
-        let mut s = StallBreakdown::default();
-        s.charge(StallBucket::IssueWait, 4);
-        let mut m = MetricSet::new();
-        s.register(&mut m, "stall");
-        assert_eq!(m.counter_value("stall.issue_wait"), Some(4));
-        assert_eq!(m.counter_value("stall.fetch_miss"), Some(0));
-        assert_eq!(m.len(), 6);
     }
 
     #[test]

@@ -15,6 +15,16 @@
 //! [`PredicationModel::Selective`], if-converted instructions consume the
 //! PPRF predictions at rename too.
 //!
+//! A run's counters land in [`SimStats`]. Its metric block — every
+//! counter and ratio under a stable name, plus the per-branch
+//! `branch_sites` histogram — is listed once, in the static table
+//! [`SimStats::METRICS`], sorted by name as the `ppsim-obs` registry
+//! exports it. [`SimStats::metrics`] builds the registry from the table,
+//! [`SimStats::write_metrics_json`] writes the block's JSON text straight
+//! into an answer buffer, [`SimStats::merge`] sums through it, and the
+//! runner's result cache stores and parses every counter through each
+//! entry's [`CounterField`].
+//!
 //! # Example
 //!
 //! ```
@@ -66,4 +76,4 @@ pub use ppsim_obs::{EventKind, EventRing, StallBreakdown, StallBucket, TraceEven
 pub use ppsim_predictors::SchemeSpec;
 pub use resources::{Pool, UnitSet, WidthLimiter};
 pub use sample::{SampleSpec, SampleSpecError};
-pub use stats::SimStats;
+pub use stats::{CounterField, SimStats, StatMetric};

@@ -1,7 +1,21 @@
-//! Simulation statistics.
+//! Simulation statistics, and the one table that names them.
+//!
+//! [`SimStats::METRICS`] lists every counter and ratio of a run's metric
+//! block under its stable name, in the sorted order [`MetricSet`]
+//! exports. Each entry says how to read its value off a [`SimStats`]
+//! (and, for a counter, how to write it back), so everything that walks
+//! the metrics walks this table: [`SimStats::metrics`] builds the
+//! registry from it, [`SimStats::write_metrics_json`] writes the block's
+//! JSON text straight into an answer buffer with no registry or JSON
+//! tree in between, [`SimStats::merge`] sums every counter through it,
+//! and the runner's result cache stores and parses every counter
+//! through it. A new counter is one entry here.
 
-use ppsim_mem::HierarchyStats;
-use ppsim_obs::{MetricSet, PcEntry, PcHistogram, StallBreakdown};
+use ppsim_mem::{CacheStats, HierarchyStats};
+use ppsim_obs::{
+    write_metric_block, Json, MetricSet, MetricValue, PcEntry, PcHistogram, StallBreakdown,
+    StallBucket,
+};
 
 /// Counters collected by one simulation run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -66,7 +80,148 @@ pub struct SimStats {
     pub mem: HierarchyStats,
 }
 
+/// How one entry of [`SimStats::METRICS`] reads its value.
+#[derive(Clone, Copy)]
+pub enum StatMetric {
+    /// A counter, read and written through its field.
+    Counter(CounterField),
+    /// A ratio, read as its unreduced `(numerator, denominator)`.
+    Ratio(fn(&SimStats) -> (u64, u64)),
+}
+
+/// The one [`SimStats`] field a counter counts, and where it is stored.
+#[derive(Clone, Copy)]
+pub struct CounterField {
+    /// Reads the counter.
+    pub get: fn(&SimStats) -> u64,
+    /// Overwrites the counter (cache replay, merging).
+    pub set: fn(&mut SimStats, u64),
+    /// The counter's position among the `stat.` lines of a result-cache
+    /// entry: an order the cache format fixes, unlike the name order.
+    pub store: u8,
+}
+
+impl StatMetric {
+    /// The metric's value on `s`.
+    pub fn value(self, s: &SimStats) -> MetricValue {
+        match self {
+            StatMetric::Counter(field) => MetricValue::Counter((field.get)(s)),
+            StatMetric::Ratio(ratio) => {
+                let (num, den) = ratio(s);
+                MetricValue::Ratio { num, den }
+            }
+        }
+    }
+}
+
+/// A counter entry over the field path `$field` (`mem.itlb.0` included).
+macro_rules! counter {
+    ($store:literal, $($field:tt).+) => {
+        StatMetric::Counter(CounterField {
+            get: |s| s.$($field).+,
+            set: |s, v| s.$($field).+ = v,
+            store: $store,
+        })
+    };
+}
+
+/// A counter entry over one stall bucket.
+macro_rules! stall {
+    ($store:literal, $bucket:ident) => {
+        StatMetric::Counter(CounterField {
+            get: |s| s.stall.get(StallBucket::$bucket),
+            set: |s, v| s.stall.set(StallBucket::$bucket, v),
+            store: $store,
+        })
+    };
+}
+
+/// A ratio entry of two plain counter fields.
+macro_rules! ratio {
+    ($num:ident / $den:ident) => {
+        StatMetric::Ratio(|s| (s.$num, s.$den))
+    };
+}
+
+/// A cache level's miss ratio. Saturating, so synthetic stats (tests,
+/// hand-edited entries) with `hits > accesses` cannot panic the export.
+fn cache_miss_ratio(c: &CacheStats) -> (u64, u64) {
+    (c.accesses.saturating_sub(c.hits), c.accesses)
+}
+
+/// A TLB's miss ratio from its `(hits, misses)`.
+fn tlb_miss_ratio((hits, misses): (u64, u64)) -> (u64, u64) {
+    (misses, hits.saturating_add(misses))
+}
+
 impl SimStats {
+    /// The run's metric block: every counter and ratio under its stable
+    /// name, in sorted name order (the order [`MetricSet`] exports). The
+    /// block's one histogram, `branch_sites`, is [`SimStats::branch_pcs`].
+    #[rustfmt::skip]
+    pub const METRICS: [(&'static str, StatMetric); 60] = [
+        ("cancelled_at_rename", counter!(15, cancelled_at_rename)),
+        ("committed", counter!(1, committed)),
+        ("compares", counter!(7, compares)),
+        ("cond_branches", counter!(4, cond_branches)),
+        ("cycles", counter!(0, cycles)),
+        ("early_resolved", counter!(8, early_resolved)),
+        ("early_resolved_mispredicts", counter!(10, early_resolved_mispredicts)),
+        ("early_resolved_rate", ratio!(early_resolved / cond_branches)),
+        ("early_resolved_saves", counter!(9, early_resolved_saves)),
+        ("fetched", counter!(2, fetched)),
+        ("ipc", ratio!(committed / cycles)),
+        ("mem.dtlb.hits", counter!(48, mem.dtlb.0)),
+        ("mem.dtlb.miss_ratio", StatMetric::Ratio(|s| tlb_miss_ratio(s.mem.dtlb))),
+        ("mem.dtlb.misses", counter!(49, mem.dtlb.1)),
+        ("mem.itlb.hits", counter!(46, mem.itlb.0)),
+        ("mem.itlb.miss_ratio", StatMetric::Ratio(|s| tlb_miss_ratio(s.mem.itlb))),
+        ("mem.itlb.misses", counter!(47, mem.itlb.1)),
+        ("mem.l1d.accesses", counter!(32, mem.l1d.accesses)),
+        ("mem.l1d.hits", counter!(33, mem.l1d.hits)),
+        ("mem.l1d.miss_ratio", StatMetric::Ratio(|s| cache_miss_ratio(&s.mem.l1d))),
+        ("mem.l1d.mshr_stall_cycles", counter!(36, mem.l1d.mshr_stall_cycles)),
+        ("mem.l1d.primary_misses", counter!(34, mem.l1d.primary_misses)),
+        ("mem.l1d.secondary_misses", counter!(35, mem.l1d.secondary_misses)),
+        ("mem.l1d.write_buffer_stall_cycles", counter!(38, mem.l1d.write_buffer_stall_cycles)),
+        ("mem.l1d.writebacks", counter!(37, mem.l1d.writebacks)),
+        ("mem.l1i.accesses", counter!(25, mem.l1i.accesses)),
+        ("mem.l1i.hits", counter!(26, mem.l1i.hits)),
+        ("mem.l1i.miss_ratio", StatMetric::Ratio(|s| cache_miss_ratio(&s.mem.l1i))),
+        ("mem.l1i.mshr_stall_cycles", counter!(29, mem.l1i.mshr_stall_cycles)),
+        ("mem.l1i.primary_misses", counter!(27, mem.l1i.primary_misses)),
+        ("mem.l1i.secondary_misses", counter!(28, mem.l1i.secondary_misses)),
+        ("mem.l1i.write_buffer_stall_cycles", counter!(31, mem.l1i.write_buffer_stall_cycles)),
+        ("mem.l1i.writebacks", counter!(30, mem.l1i.writebacks)),
+        ("mem.l2.accesses", counter!(39, mem.l2.accesses)),
+        ("mem.l2.hits", counter!(40, mem.l2.hits)),
+        ("mem.l2.miss_ratio", StatMetric::Ratio(|s| cache_miss_ratio(&s.mem.l2))),
+        ("mem.l2.mshr_stall_cycles", counter!(43, mem.l2.mshr_stall_cycles)),
+        ("mem.l2.primary_misses", counter!(41, mem.l2.primary_misses)),
+        ("mem.l2.secondary_misses", counter!(42, mem.l2.secondary_misses)),
+        ("mem.l2.write_buffer_stall_cycles", counter!(45, mem.l2.write_buffer_stall_cycles)),
+        ("mem.l2.writebacks", counter!(44, mem.l2.writebacks)),
+        ("misprediction_rate", ratio!(mispredicts / cond_branches)),
+        ("mispredicts", counter!(5, mispredicts)),
+        ("mpki", StatMetric::Ratio(|s| (s.mispredicts.saturating_mul(1000), s.committed))),
+        ("nullified", counter!(18, nullified)),
+        ("overrides", counter!(12, overrides)),
+        ("predicate_misprediction_rate", ratio!(predicate_mispredictions / predicate_predictions)),
+        ("predicate_mispredictions", counter!(14, predicate_mispredictions)),
+        ("predicate_predictions", counter!(13, predicate_predictions)),
+        ("predication_flushes", counter!(17, predication_flushes)),
+        ("renamed", counter!(3, renamed)),
+        ("shadow_mispredicts", counter!(11, shadow_mispredicts)),
+        ("stall.commit_bound", stall!(22, CommitBound)),
+        ("stall.fetch_miss", stall!(19, FetchMiss)),
+        ("stall.flush_recovery", stall!(23, FlushRecovery)),
+        ("stall.issue_wait", stall!(21, IssueWait)),
+        ("stall.predication_flush", stall!(24, PredicationFlush)),
+        ("stall.rename_stall", stall!(20, RenameStall)),
+        ("uncond_branches", counter!(6, uncond_branches)),
+        ("unguarded_at_rename", counter!(16, unguarded_at_rename)),
+    ];
+
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
@@ -145,27 +300,10 @@ impl SimStats {
     /// stay sorted; per-window `stall.total() == cycles` invariants sum
     /// into the same invariant on the aggregate.
     pub fn merge(&mut self, other: &SimStats) {
-        self.cycles += other.cycles;
-        self.committed += other.committed;
-        self.fetched += other.fetched;
-        self.renamed += other.renamed;
-        self.early_resolved_mispredicts += other.early_resolved_mispredicts;
-        self.cond_branches += other.cond_branches;
-        self.mispredicts += other.mispredicts;
-        self.uncond_branches += other.uncond_branches;
-        self.compares += other.compares;
-        self.early_resolved += other.early_resolved;
-        self.early_resolved_saves += other.early_resolved_saves;
-        self.shadow_mispredicts += other.shadow_mispredicts;
-        self.overrides += other.overrides;
-        self.predicate_predictions += other.predicate_predictions;
-        self.predicate_mispredictions += other.predicate_mispredictions;
-        self.cancelled_at_rename += other.cancelled_at_rename;
-        self.unguarded_at_rename += other.unguarded_at_rename;
-        self.predication_flushes += other.predication_flushes;
-        self.nullified += other.nullified;
-        for (bucket, cycles) in other.stall.iter() {
-            self.stall.charge(bucket, cycles);
+        for &(_, metric) in Self::METRICS.iter() {
+            if let StatMetric::Counter(field) = metric {
+                (field.set)(self, (field.get)(self) + (field.get)(other));
+            }
         }
         for &(slot, execs, miss) in &other.branch_pcs {
             match self.branch_pcs.binary_search_by_key(&slot, |r| r.0) {
@@ -176,69 +314,67 @@ impl SimStats {
                 Err(i) => self.branch_pcs.insert(i, (slot, execs, miss)),
             }
         }
-        self.mem.accumulate(&other.mem);
     }
 
     /// Exports every counter, derived rate, stall bucket and the per-PC
     /// branch histogram onto one typed registry with stable names — the
-    /// canonical metric block carried by reports and `--json` artifacts.
+    /// canonical metric block, built from [`SimStats::METRICS`].
     pub fn metrics(&self) -> MetricSet {
         let mut m = MetricSet::new();
-        m.counter("cycles", self.cycles);
-        m.counter("committed", self.committed);
-        m.counter("fetched", self.fetched);
-        m.counter("renamed", self.renamed);
-        m.counter("cond_branches", self.cond_branches);
-        m.counter("mispredicts", self.mispredicts);
-        m.counter("uncond_branches", self.uncond_branches);
-        m.counter("compares", self.compares);
-        m.counter("early_resolved", self.early_resolved);
-        m.counter("early_resolved_saves", self.early_resolved_saves);
-        m.counter(
-            "early_resolved_mispredicts",
-            self.early_resolved_mispredicts,
-        );
-        m.counter("shadow_mispredicts", self.shadow_mispredicts);
-        m.counter("overrides", self.overrides);
-        m.counter("predicate_predictions", self.predicate_predictions);
-        m.counter("predicate_mispredictions", self.predicate_mispredictions);
-        m.counter("cancelled_at_rename", self.cancelled_at_rename);
-        m.counter("unguarded_at_rename", self.unguarded_at_rename);
-        m.counter("predication_flushes", self.predication_flushes);
-        m.counter("nullified", self.nullified);
-        m.ratio("ipc", self.committed, self.cycles);
-        m.ratio("misprediction_rate", self.mispredicts, self.cond_branches);
-        m.ratio(
-            "mpki",
-            self.mispredicts.saturating_mul(1000),
-            self.committed,
-        );
-        m.ratio(
-            "early_resolved_rate",
-            self.early_resolved,
-            self.cond_branches,
-        );
-        m.ratio(
-            "predicate_misprediction_rate",
-            self.predicate_mispredictions,
-            self.predicate_predictions,
-        );
-        self.stall.register(&mut m, "stall");
+        for &(name, metric) in Self::METRICS.iter() {
+            match metric.value(self) {
+                MetricValue::Counter(c) => m.counter(name, c),
+                MetricValue::Ratio { num, den } => m.ratio(name, num, den),
+            }
+        }
         m.histogram(
             "branch_sites",
-            PcHistogram::from_rows(
-                self.branch_pcs
-                    .iter()
-                    .map(|&(slot, execs, events)| PcEntry {
-                        pc: slot as u64,
-                        execs,
-                        events,
-                    })
-                    .collect(),
-            ),
+            PcHistogram::from_rows(self.branch_rows().collect()),
         );
-        m.absorb("mem", &self.mem.metrics());
         m
+    }
+
+    /// Writes the metric block's JSON text onto `out`: byte for byte
+    /// `self.metrics().to_json().to_string()`, straight from
+    /// [`SimStats::METRICS`], with no registry or JSON tree in between.
+    pub fn write_metrics_json(&self, out: &mut String) {
+        let scalars = Self::METRICS
+            .iter()
+            .map(|&(name, metric)| (name, metric.value(self)));
+        // Runs keep their rows sorted by slot; rows read back from a
+        // hand-edited cache entry might not be, and the registry would
+        // sort and merge those.
+        if self.branch_pcs.windows(2).all(|w| w[0].0 < w[1].0) {
+            write_metric_block(out, scalars, [("branch_sites", self.branch_rows())]);
+        } else {
+            let sites = PcHistogram::from_rows(self.branch_rows().collect());
+            write_metric_block(
+                out,
+                scalars,
+                [("branch_sites", sites.entries().iter().copied())],
+            );
+        }
+    }
+
+    /// The metric block as a JSON node holding
+    /// [`SimStats::write_metrics_json`]'s text, for embedding in an
+    /// artifact: it renders exactly as `self.metrics().to_json()`.
+    pub fn metrics_json(&self) -> Json {
+        // About 1.3 KB of counters and ratios, and 20 bytes or so a row.
+        let mut out = String::with_capacity(1536 + 24 * self.branch_pcs.len());
+        self.write_metrics_json(&mut out);
+        Json::Raw(out)
+    }
+
+    /// The per-branch rows as histogram rows.
+    fn branch_rows(&self) -> impl Iterator<Item = PcEntry> + '_ {
+        self.branch_pcs
+            .iter()
+            .map(|&(slot, execs, events)| PcEntry {
+                pc: u64::from(slot),
+                execs,
+                events,
+            })
     }
 }
 
@@ -285,6 +421,151 @@ mod tests {
         assert_eq!(m.counter_value("mem.l1d.accesses"), Some(0));
     }
 
+    /// A tiny seeded generator (SplitMix64), so the property test below
+    /// replays the same cases on every run.
+    struct Seeded(u64);
+
+    impl Seeded {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// A counter value: zero, small, large, or at the edges of the
+        /// i64 range JSON integers saturate to.
+        fn counter(&mut self) -> u64 {
+            match self.next() % 8 {
+                0 | 1 => 0,
+                2 => u64::MAX,
+                3 => i64::MAX as u64 + self.next() % 3 - 1,
+                4 => self.next(),
+                _ => self.next() % 100_000,
+            }
+        }
+    }
+
+    fn counters() -> impl Iterator<Item = (&'static str, CounterField)> {
+        SimStats::METRICS
+            .iter()
+            .filter_map(|&(name, metric)| match metric {
+                StatMetric::Counter(field) => Some((name, field)),
+                StatMetric::Ratio(_) => None,
+            })
+    }
+
+    #[test]
+    fn direct_writer_matches_the_registry_rendering() {
+        let mut rng = Seeded(0x005e_ed0f_b10c);
+        for case in 0..200 {
+            let mut s = SimStats::default();
+            // Every fourth case keeps the all-zero counters, so every
+            // ratio sees a zero denominator.
+            if case % 4 != 0 {
+                for (_, field) in counters() {
+                    (field.set)(&mut s, rng.counter());
+                }
+            }
+            let sites = match case % 5 {
+                0 => 0,
+                1 => 1_000,
+                _ => (rng.next() % 40) as u32,
+            };
+            let mut slot = 0u32;
+            for _ in 0..sites {
+                slot += 1 + (rng.next() % 9) as u32;
+                s.branch_pcs.push((slot, rng.counter(), rng.counter()));
+            }
+            if case % 7 == 3 && s.branch_pcs.len() > 2 {
+                // Rows out of order, one slot twice: the registry sorts
+                // and merges them, and so must the writer. (The repeat
+                // adds zeros, so the merge cannot overflow.)
+                s.branch_pcs.swap(0, 1);
+                let dup = s.branch_pcs[2];
+                s.branch_pcs.push((dup.0, 0, 0));
+            }
+            let tree = s.metrics().to_json().to_string();
+            let mut direct = String::new();
+            s.write_metrics_json(&mut direct);
+            assert_eq!(direct, tree, "case {case}");
+            assert_eq!(s.metrics_json().to_string(), tree, "case {case}");
+        }
+    }
+
+    #[test]
+    fn metric_table_is_sorted_and_names_the_registry() {
+        let names: Vec<&str> = SimStats::METRICS.iter().map(|&(n, _)| n).collect();
+        for pair in names.windows(2) {
+            assert!(
+                pair[0] < pair[1],
+                "{} must sort before {}",
+                pair[0],
+                pair[1]
+            );
+        }
+        for name in &names {
+            assert!(
+                name.bytes().all(|b| b.is_ascii_lowercase()
+                    || b.is_ascii_digit()
+                    || b == b'_'
+                    || b == b'.'),
+                "{name} would need JSON escaping"
+            );
+        }
+        let registry = SimStats::default().metrics();
+        let registry: Vec<&str> = registry.iter().map(|(n, _)| n).collect();
+        assert_eq!(registry, names);
+        let mut stored: Vec<u8> = counters().map(|(_, field)| field.store).collect();
+        stored.sort_unstable();
+        assert!(
+            stored
+                .iter()
+                .enumerate()
+                .all(|(i, &at)| usize::from(at) == i),
+            "store positions must number the counters 0..n once each: {stored:?}"
+        );
+    }
+
+    #[test]
+    fn each_counter_entry_reads_and_writes_its_own_field() {
+        let all: Vec<_> = counters().collect();
+        for (k, &(name, field)) in all.iter().enumerate() {
+            let mut s = SimStats::default();
+            (field.set)(&mut s, 1_000 + k as u64);
+            for (j, &(other, counter)) in all.iter().enumerate() {
+                let want = if j == k { 1_000 + k as u64 } else { 0 };
+                assert_eq!((counter.get)(&s), want, "setting {name} moved {other}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_table_reaches_every_numeric_field() {
+        let mut s = SimStats::default();
+        for (_, field) in counters() {
+            (field.set)(&mut s, 7777);
+        }
+        // Every number in the Debug rendering (digits inside names such
+        // as `l1i` aside) is a field the table set; a counter field the
+        // table misses would still read 0.
+        let debug = format!("{s:?}");
+        let bytes = debug.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            let starts_number = bytes[i].is_ascii_digit()
+                && (i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_'));
+            if starts_number {
+                let end = i + bytes[i..].iter().take_while(|b| b.is_ascii_digit()).count();
+                assert_eq!(&debug[i..end], "7777", "a field the table misses: {debug}");
+                i = end;
+            } else {
+                i += 1;
+            }
+        }
+    }
+
     #[test]
     fn merge_sums_counters_and_keeps_histograms_sorted() {
         use ppsim_obs::StallBucket;
@@ -315,6 +596,10 @@ mod tests {
         assert_eq!(a.stall.total(), a.cycles, "invariant survives merging");
         assert_eq!(a.branch_pcs, vec![(1, 3, 2), (2, 10, 1), (7, 10, 1)]);
         assert_eq!(a.mem.l1d.accesses, 40);
+        b.mem.dtlb = (3, 4);
+        b.predication_flushes = 2;
+        a.merge(&b);
+        assert_eq!((a.mem.dtlb, a.predication_flushes), ((3, 4), 2));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! ...                      # every line of Job::canon, prefixed "job."
 //! stat.cycles=123456
 //! stat.committed=500000
-//! ...                      # every SimStats counter, fixed order
-//! stat.stall.fetch_miss=100
-//! ...                      # every stall bucket, StallBucket::ALL order
+//! ...                      # every SimStats counter, in its fixed
+//! stat.stall.fetch_miss=100  # store position (SimStats::METRICS)
+//! ...
 //! pc.17=5000,12
 //! ...                      # per-branch (slot, execs, mispredicts) rows
 //! static.insns=871
@@ -30,10 +30,13 @@
 //! (so a changed byte anywhere before it — a flipped digit in a stored
 //! counter included — reads as a miss, never as a wrong statistic), and
 //! the `end` sentinel (so a truncated write from a killed process reads
-//! as a miss). Stores write to a `.tmp` sibling and rename into place,
-//! which is atomic on POSIX — concurrent runs never observe half-written
-//! entries.
+//! as a miss). A load reads the lines in the order a store writes them,
+//! allocating nothing per line; an entry whose lines stray from that
+//! order reads as a miss. Stores write to a `.tmp` sibling and rename
+//! into place, which is atomic on POSIX — concurrent runs never observe
+//! half-written entries.
 
+use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -41,11 +44,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::SystemTime;
 
-use ppsim_mem::CacheStats;
-use ppsim_obs::StallBucket;
-use ppsim_pipeline::SimStats;
+use ppsim_pipeline::{CounterField, SimStats, StatMetric};
 
-use crate::hash::{fnv1a64, hex64};
+use crate::hash::{fnv1a64, hex64, is_hex64};
 use crate::job::{Job, JobResult};
 
 /// Magic first line; bump the version to invalidate every entry.
@@ -71,6 +72,47 @@ use crate::job::{Job, JobResult};
 const HEADER: &str = "ppsim-cache v8";
 /// Last line; its absence marks a truncated entry.
 const FOOTER: &str = "end";
+
+/// One `stat.` line per [`SimStats`] counter.
+const STAT_LINES: usize = {
+    let mut n = 0;
+    let mut i = 0;
+    while i < SimStats::METRICS.len() {
+        if let StatMetric::Counter(_) = SimStats::METRICS[i].1 {
+            n += 1;
+        }
+        i += 1;
+    }
+    n
+};
+
+/// [`SimStats::METRICS`] indices of the counters in `stat.` line order
+/// (each counter's `store` position). A position out of range or used
+/// twice fails the build.
+const STAT_ORDER: [usize; STAT_LINES] = {
+    let mut order = [usize::MAX; STAT_LINES];
+    let mut i = 0;
+    while i < SimStats::METRICS.len() {
+        if let StatMetric::Counter(CounterField { store, .. }) = SimStats::METRICS[i].1 {
+            assert!(
+                order[store as usize] == usize::MAX,
+                "two counters share a store position"
+            );
+            order[store as usize] = i;
+        }
+        i += 1;
+    }
+    order
+};
+
+/// The counters in `stat.` line order, by key: the metric name without
+/// the `mem.` that memory counters carry.
+fn stat_lines() -> impl Iterator<Item = (&'static str, CounterField)> {
+    STAT_ORDER.iter().map(|&i| match SimStats::METRICS[i] {
+        (name, StatMetric::Counter(field)) => (name.strip_prefix("mem.").unwrap_or(name), field),
+        (name, StatMetric::Ratio(_)) => unreachable!("{name} is a ratio"),
+    })
+}
 
 /// On-disk cache usage, as reported by [`DiskCache::usage`] and the
 /// `ppsim cache stats` subcommand.
@@ -145,11 +187,16 @@ impl DiskCache {
     /// recomputes and overwrites them. A hit on a capped cache refreshes
     /// the entry's recency.
     pub fn load(&self, job: &Job) -> Option<JobResult> {
-        // One canon names the file and checks the stored echo.
-        let canon = job.canon();
-        let path = self.entry_path(&canon);
+        self.load_canon(&job.canon())
+    }
+
+    /// [`DiskCache::load`] of the job whose [`Job::canon`] is `canon`,
+    /// for a caller that already holds it. The one canon names the file
+    /// and checks the stored echo.
+    pub fn load_canon(&self, canon: &str) -> Option<JobResult> {
+        let path = self.entry_path(canon);
         let text = fs::read_to_string(&path).ok()?;
-        let result = parse_entry(&text, &canon)?;
+        let result = parse_entry(&text, canon)?;
         // Refresh recency, which only a capped cache's eviction reads. A
         // failed touch only degrades the eviction order, never
         // correctness.
@@ -162,12 +209,16 @@ impl DiskCache {
     /// Stores the result for `job` atomically (`.tmp` + rename), then
     /// enforces the byte budget if one is set.
     pub fn store(&self, job: &Job, result: &JobResult) -> std::io::Result<()> {
-        let canon = job.canon();
-        let path = self.entry_path(&canon);
+        self.store_canon(&job.canon(), result)
+    }
+
+    /// [`DiskCache::store`] for the job whose [`Job::canon`] is `canon`.
+    pub fn store_canon(&self, canon: &str, result: &JobResult) -> std::io::Result<()> {
+        let path = self.entry_path(canon);
         let tmp = path.with_extension("tmp");
         {
             let mut f = fs::File::create(&tmp)?;
-            f.write_all(render_entry(&canon, result).as_bytes())?;
+            f.write_all(render_entry(canon, result).as_bytes())?;
             f.sync_all()?;
         }
         fs::rename(&tmp, &path)?;
@@ -272,33 +323,28 @@ fn render_entry(canon: &str, result: &JobResult) -> String {
         s.push_str(line);
         s.push('\n');
     }
-    for (key, value) in stat_fields(&result.stats) {
-        s.push_str("stat.");
-        s.push_str(key);
-        s.push('=');
-        s.push_str(&value.to_string());
-        s.push('\n');
+    // Writing into a String cannot fail, so the results are dropped.
+    let stats = &result.stats;
+    for (key, field) in stat_lines() {
+        let _ = writeln!(s, "stat.{key}={}", (field.get)(stats));
     }
     // branch_pcs is sorted by slot in SimStats, so this section — like
     // everything else in the entry — renders deterministically.
-    for &(slot, execs, events) in &result.stats.branch_pcs {
-        s.push_str(&format!("pc.{slot}={execs},{events}\n"));
+    for &(slot, execs, events) in &stats.branch_pcs {
+        let _ = writeln!(s, "pc.{slot}={execs},{events}");
     }
-    s.push_str(&format!("static.insns={}\n", result.static_insns));
-    s.push_str(&format!(
-        "static.cond_branches={}\n",
-        result.static_cond_branches
-    ));
+    let _ = writeln!(s, "static.insns={}", result.static_insns);
+    let _ = writeln!(s, "static.cond_branches={}", result.static_cond_branches);
     // Timing lines record what the original run cost. They are telemetry
     // only: a hit still reports `from_cache` and the runner never counts
     // replayed timings toward wall totals, so report bytes stay
     // independent of cache state.
-    s.push_str(&format!("time.wall_micros={}\n", result.wall_micros));
-    s.push_str(&format!("time.compile_micros={}\n", result.compile_micros));
-    s.push_str(&format!("time.capture_micros={}\n", result.capture_micros));
-    s.push_str(&format!("time.sim_micros={}\n", result.sim_micros));
+    let _ = writeln!(s, "time.wall_micros={}", result.wall_micros);
+    let _ = writeln!(s, "time.compile_micros={}", result.compile_micros);
+    let _ = writeln!(s, "time.capture_micros={}", result.capture_micros);
+    let _ = writeln!(s, "time.sim_micros={}", result.sim_micros);
     let sum = hex64(fnv1a64(s.as_bytes()));
-    s.push_str(&format!("sum={sum}\n{FOOTER}\n"));
+    let _ = write!(s, "sum={sum}\n{FOOTER}\n");
     s
 }
 
@@ -307,11 +353,20 @@ fn render_entry(canon: &str, result: &JobResult) -> String {
 /// footer; `None` for a truncated or altered entry.
 fn checked_body(text: &str) -> Option<&str> {
     let (body, trailer) = text.rsplit_once("sum=")?;
-    let sum = trailer.strip_suffix(&format!("\n{FOOTER}\n"))?;
-    (sum == hex64(fnv1a64(body.as_bytes()))).then_some(body)
+    let sum = trailer
+        .strip_suffix('\n')?
+        .strip_suffix(FOOTER)?
+        .strip_suffix('\n')?;
+    is_hex64(sum, fnv1a64(body.as_bytes())).then_some(body)
 }
 
-/// Parses an entry stored for the job whose [`Job::canon`] is `canon`.
+/// The value of a `<key>=<u64>` line.
+fn value_of(line: &str, key: &str) -> Option<u64> {
+    line.strip_prefix(key)?.strip_prefix('=')?.parse().ok()
+}
+
+/// Parses an entry stored for the job whose [`Job::canon`] is `canon`,
+/// reading its lines in the order [`render_entry`] writes them.
 fn parse_entry(text: &str, canon: &str) -> Option<JobResult> {
     let mut lines = checked_body(text)?.lines();
     if lines.next()? != HEADER {
@@ -320,228 +375,42 @@ fn parse_entry(text: &str, canon: &str) -> Option<JobResult> {
     // Verify the stored canon matches this job's, line for line. A
     // mismatch means the hash collided or an input axis changed meaning;
     // either way the entry is stale.
-    let mut canon_lines = canon.lines();
-    let mut rest = lines.peekable();
-    while let Some(line) = rest.peek() {
-        match line.strip_prefix("job.") {
-            Some(stored) => {
-                if canon_lines.next() != Some(stored) {
-                    return None;
-                }
-                rest.next();
-            }
-            None => break,
-        }
-    }
-    if canon_lines.next().is_some() {
-        return None; // stored canon is a strict prefix — stale
-    }
-
-    let mut stats = SimStats::default();
-    let mut static_insns = None;
-    let mut static_cond_branches = None;
-    let mut times = [0u64; 4];
-    for line in rest {
-        let (key, value) = line.split_once('=')?;
-        if let Some(slot) = key.strip_prefix("pc.") {
-            let slot: u32 = slot.parse().ok()?;
-            let (execs, events) = value.split_once(',')?;
-            stats
-                .branch_pcs
-                .push((slot, execs.parse().ok()?, events.parse().ok()?));
-            continue;
-        }
-        let value: u64 = value.parse().ok()?;
-        if let Some(stat) = key.strip_prefix("stat.") {
-            set_stat_field(&mut stats, stat, value)?;
-        } else if key == "static.insns" {
-            static_insns = Some(value);
-        } else if key == "static.cond_branches" {
-            static_cond_branches = Some(value);
-        } else if let Some(phase) = key.strip_prefix("time.") {
-            match phase {
-                "wall_micros" => times[0] = value,
-                "compile_micros" => times[1] = value,
-                "capture_micros" => times[2] = value,
-                "sim_micros" => times[3] = value,
-                _ => return None,
-            }
-        } else {
+    for want in canon.lines() {
+        if lines.next()?.strip_prefix("job.")? != want {
             return None;
         }
     }
-    Some(JobResult {
+    let mut stats = SimStats::default();
+    for (key, field) in stat_lines() {
+        let value = value_of(lines.next()?.strip_prefix("stat.")?, key)?;
+        (field.set)(&mut stats, value);
+    }
+    let mut line = lines.next()?;
+    while let Some(row) = line.strip_prefix("pc.") {
+        let (slot, counts) = row.split_once('=')?;
+        let (execs, events) = counts.split_once(',')?;
+        stats.branch_pcs.push((
+            slot.parse().ok()?,
+            execs.parse().ok()?,
+            events.parse().ok()?,
+        ));
+        line = lines.next()?;
+    }
+    let static_insns = value_of(line, "static.insns")?;
+    let mut next = |key| value_of(lines.next()?, key);
+    let result = JobResult {
+        static_insns,
+        static_cond_branches: next("static.cond_branches")?,
+        wall_micros: next("time.wall_micros")?,
+        compile_micros: next("time.compile_micros")?,
+        capture_micros: next("time.capture_micros")?,
+        sim_micros: next("time.sim_micros")?,
         stats,
-        static_insns: static_insns?,
-        static_cond_branches: static_cond_branches?,
         from_cache: true,
-        wall_micros: times[0],
-        compile_micros: times[1],
-        capture_micros: times[2],
-        sim_micros: times[3],
         trace_memo_hit: false,
         derived: false,
-    })
-}
-
-/// Every SimStats counter as (key, value), in the fixed serialization
-/// order. Adding a field to SimStats without extending this list is
-/// caught by the round-trip test below.
-fn stat_fields(s: &SimStats) -> Vec<(&'static str, u64)> {
-    let mut out = vec![
-        ("cycles", s.cycles),
-        ("committed", s.committed),
-        ("fetched", s.fetched),
-        ("renamed", s.renamed),
-        ("cond_branches", s.cond_branches),
-        ("mispredicts", s.mispredicts),
-        ("uncond_branches", s.uncond_branches),
-        ("compares", s.compares),
-        ("early_resolved", s.early_resolved),
-        ("early_resolved_saves", s.early_resolved_saves),
-        ("early_resolved_mispredicts", s.early_resolved_mispredicts),
-        ("shadow_mispredicts", s.shadow_mispredicts),
-        ("overrides", s.overrides),
-        ("predicate_predictions", s.predicate_predictions),
-        ("predicate_mispredictions", s.predicate_mispredictions),
-        ("cancelled_at_rename", s.cancelled_at_rename),
-        ("unguarded_at_rename", s.unguarded_at_rename),
-        ("predication_flushes", s.predication_flushes),
-        ("nullified", s.nullified),
-    ];
-    for bucket in StallBucket::ALL {
-        out.push((stall_key(bucket), s.stall.get(bucket)));
-    }
-    for (level, c) in [("l1i", &s.mem.l1i), ("l1d", &s.mem.l1d), ("l2", &s.mem.l2)] {
-        out.push((cache_key(level, "accesses"), c.accesses));
-        out.push((cache_key(level, "hits"), c.hits));
-        out.push((cache_key(level, "primary_misses"), c.primary_misses));
-        out.push((cache_key(level, "secondary_misses"), c.secondary_misses));
-        out.push((cache_key(level, "mshr_stall_cycles"), c.mshr_stall_cycles));
-        out.push((cache_key(level, "writebacks"), c.writebacks));
-        out.push((
-            cache_key(level, "write_buffer_stall_cycles"),
-            c.write_buffer_stall_cycles,
-        ));
-    }
-    out.push(("itlb.hits", s.mem.itlb.0));
-    out.push(("itlb.misses", s.mem.itlb.1));
-    out.push(("dtlb.hits", s.mem.dtlb.0));
-    out.push(("dtlb.misses", s.mem.dtlb.1));
-    out
-}
-
-/// Static `stall.<bucket>` keys (serialization wants `&'static str`).
-fn stall_key(bucket: StallBucket) -> &'static str {
-    match bucket {
-        StallBucket::FetchMiss => "stall.fetch_miss",
-        StallBucket::RenameStall => "stall.rename_stall",
-        StallBucket::IssueWait => "stall.issue_wait",
-        StallBucket::CommitBound => "stall.commit_bound",
-        StallBucket::FlushRecovery => "stall.flush_recovery",
-        StallBucket::PredicationFlush => "stall.predication_flush",
-    }
-}
-
-/// Static key strings for the three cache levels × seven counters.
-fn cache_key(level: &str, field: &str) -> &'static str {
-    // A match table keeps the keys `&'static str` without allocation.
-    macro_rules! table {
-        ($($lvl:literal, $fld:literal => $key:literal;)*) => {
-            match (level, field) {
-                $(($lvl, $fld) => $key,)*
-                _ => unreachable!("unknown cache stat {level}.{field}"),
-            }
-        };
-    }
-    table! {
-        "l1i", "accesses" => "l1i.accesses";
-        "l1i", "hits" => "l1i.hits";
-        "l1i", "primary_misses" => "l1i.primary_misses";
-        "l1i", "secondary_misses" => "l1i.secondary_misses";
-        "l1i", "mshr_stall_cycles" => "l1i.mshr_stall_cycles";
-        "l1i", "writebacks" => "l1i.writebacks";
-        "l1i", "write_buffer_stall_cycles" => "l1i.write_buffer_stall_cycles";
-        "l1d", "accesses" => "l1d.accesses";
-        "l1d", "hits" => "l1d.hits";
-        "l1d", "primary_misses" => "l1d.primary_misses";
-        "l1d", "secondary_misses" => "l1d.secondary_misses";
-        "l1d", "mshr_stall_cycles" => "l1d.mshr_stall_cycles";
-        "l1d", "writebacks" => "l1d.writebacks";
-        "l1d", "write_buffer_stall_cycles" => "l1d.write_buffer_stall_cycles";
-        "l2", "accesses" => "l2.accesses";
-        "l2", "hits" => "l2.hits";
-        "l2", "primary_misses" => "l2.primary_misses";
-        "l2", "secondary_misses" => "l2.secondary_misses";
-        "l2", "mshr_stall_cycles" => "l2.mshr_stall_cycles";
-        "l2", "writebacks" => "l2.writebacks";
-        "l2", "write_buffer_stall_cycles" => "l2.write_buffer_stall_cycles";
-    }
-}
-
-fn set_stat_field(s: &mut SimStats, key: &str, v: u64) -> Option<()> {
-    let cache_field = |c: &mut CacheStats, field: &str, v: u64| -> Option<()> {
-        match field {
-            "accesses" => c.accesses = v,
-            "hits" => c.hits = v,
-            "primary_misses" => c.primary_misses = v,
-            "secondary_misses" => c.secondary_misses = v,
-            "mshr_stall_cycles" => c.mshr_stall_cycles = v,
-            "writebacks" => c.writebacks = v,
-            "write_buffer_stall_cycles" => c.write_buffer_stall_cycles = v,
-            _ => return None,
-        }
-        Some(())
     };
-    if let Some((level, field)) = key.split_once('.') {
-        return match level {
-            "stall" => {
-                let bucket = StallBucket::parse(field)?;
-                s.stall.set(bucket, v);
-                Some(())
-            }
-            "l1i" => cache_field(&mut s.mem.l1i, field, v),
-            "l1d" => cache_field(&mut s.mem.l1d, field, v),
-            "l2" => cache_field(&mut s.mem.l2, field, v),
-            "itlb" | "dtlb" => {
-                let tlb = if level == "itlb" {
-                    &mut s.mem.itlb
-                } else {
-                    &mut s.mem.dtlb
-                };
-                match field {
-                    "hits" => tlb.0 = v,
-                    "misses" => tlb.1 = v,
-                    _ => return None,
-                }
-                Some(())
-            }
-            _ => None,
-        };
-    }
-    match key {
-        "cycles" => s.cycles = v,
-        "committed" => s.committed = v,
-        "fetched" => s.fetched = v,
-        "renamed" => s.renamed = v,
-        "cond_branches" => s.cond_branches = v,
-        "mispredicts" => s.mispredicts = v,
-        "uncond_branches" => s.uncond_branches = v,
-        "compares" => s.compares = v,
-        "early_resolved" => s.early_resolved = v,
-        "early_resolved_saves" => s.early_resolved_saves = v,
-        "early_resolved_mispredicts" => s.early_resolved_mispredicts = v,
-        "shadow_mispredicts" => s.shadow_mispredicts = v,
-        "overrides" => s.overrides = v,
-        "predicate_predictions" => s.predicate_predictions = v,
-        "predicate_mispredictions" => s.predicate_mispredictions = v,
-        "cancelled_at_rename" => s.cancelled_at_rename = v,
-        "unguarded_at_rename" => s.unguarded_at_rename = v,
-        "predication_flushes" => s.predication_flushes = v,
-        "nullified" => s.nullified = v,
-        _ => return None,
-    }
-    Some(())
+    lines.next().is_none().then_some(result)
 }
 
 #[cfg(test)]
@@ -576,33 +445,8 @@ mod tests {
         };
         // Fill every counter with a distinct value so a swapped or
         // dropped field breaks the round trip.
-        r.stats.cycles = 101;
-        r.stats.committed = 102;
-        r.stats.cond_branches = 103;
-        r.stats.mispredicts = 104;
-        r.stats.uncond_branches = 105;
-        r.stats.compares = 106;
-        r.stats.early_resolved = 107;
-        r.stats.early_resolved_saves = 108;
-        r.stats.shadow_mispredicts = 109;
-        r.stats.overrides = 110;
-        r.stats.predicate_predictions = 111;
-        r.stats.predicate_mispredictions = 112;
-        r.stats.cancelled_at_rename = 113;
-        r.stats.unguarded_at_rename = 114;
-        r.stats.predication_flushes = 115;
-        r.stats.nullified = 116;
-        r.stats.mem.l1i.accesses = 201;
-        r.stats.mem.l1i.hits = 202;
-        r.stats.mem.l1d.primary_misses = 203;
-        r.stats.mem.l1d.writebacks = 204;
-        r.stats.mem.l2.secondary_misses = 205;
-        r.stats.mem.l2.mshr_stall_cycles = 206;
-        r.stats.mem.l2.write_buffer_stall_cycles = 207;
-        r.stats.mem.itlb = (301, 302);
-        r.stats.mem.dtlb = (303, 304);
-        for (i, bucket) in StallBucket::ALL.into_iter().enumerate() {
-            r.stats.stall.set(bucket, 401 + i as u64);
+        for (i, (_, field)) in stat_lines().enumerate() {
+            (field.set)(&mut r.stats, 101 + i as u64);
         }
         r.stats.branch_pcs = vec![(7, 501, 502), (19, 503, 0)];
         r.wall_micros = 601;
@@ -622,8 +466,7 @@ mod tests {
         cache.store(&j, &r).unwrap();
         let loaded = cache.load(&j).expect("warm cache must hit");
         assert!(loaded.from_cache);
-        assert_eq!(stat_fields(&loaded.stats), stat_fields(&r.stats));
-        assert_eq!(loaded.stats.branch_pcs, r.stats.branch_pcs);
+        assert_eq!(loaded.stats, r.stats, "every counter and branch row");
         assert_eq!(loaded.static_insns, r.static_insns);
         assert_eq!(loaded.static_cond_branches, r.static_cond_branches);
         assert_eq!(
@@ -735,6 +578,26 @@ mod tests {
             }
             mutant[i] = stored[i];
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lines_out_of_store_order_miss() {
+        // A load reads the lines in the order a store writes them: the
+        // same lines in another order, resealed, read as a miss.
+        let dir = temp_dir("order");
+        let cache = DiskCache::open(&dir).unwrap();
+        let j = job();
+        let stored = render_entry(&j.canon(), &result());
+        let swapped = stored
+            .replacen("stat.cycles=", "stat.committed=", 1)
+            .replacen("stat.committed=102", "stat.cycles=102", 1);
+        assert_ne!(swapped, stored);
+        let path = cache.dir().join(format!("{}.result", j.hash_hex()));
+        fs::write(&path, resum(&swapped)).unwrap();
+        assert!(cache.load(&j).is_none());
+        fs::write(&path, &stored).unwrap();
+        assert!(cache.load(&j).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 

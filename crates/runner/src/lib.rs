@@ -575,9 +575,27 @@ impl Runner {
         jobs: &[Job],
         progress: &(dyn Fn(u64, u64) + Sync),
     ) -> Vec<JobResult> {
+        let canons: Vec<String> = jobs.iter().map(Job::canon).collect();
+        self.run_grid_keyed(jobs, &canons, progress)
+    }
+
+    /// [`Runner::run_grid_reporting`] for a caller that already holds
+    /// each cell's canonical key (`canons[i]` is `jobs[i].canon()`): the
+    /// cache loads and stores use them instead of deriving them again.
+    pub fn run_grid_keyed(
+        &self,
+        jobs: &[Job],
+        canons: &[String],
+        progress: &(dyn Fn(u64, u64) + Sync),
+    ) -> Vec<JobResult> {
+        assert_eq!(jobs.len(), canons.len(), "one canonical key per job");
+        debug_assert!(
+            jobs.iter().zip(canons).all(|(j, c)| j.canon() == *c),
+            "each canon is its job's"
+        );
         // 1. Serial cache probe.
         let mut slots: Vec<Option<JobResult>> = match &self.cache {
-            Some(cache) => jobs.iter().map(|j| cache.load(j)).collect(),
+            Some(cache) => canons.iter().map(|c| cache.load_canon(c)).collect(),
             None => vec![None; jobs.len()],
         };
 
@@ -611,7 +629,7 @@ impl Runner {
             if let Some(cache) = &self.cache {
                 // A failed store is not fatal — the result is still
                 // good, the next run just recomputes.
-                let _ = cache.store(&jobs[i], result);
+                let _ = cache.store_canon(&canons[i], result);
             }
         };
         for (&i, result) in order.iter().zip(fresh) {

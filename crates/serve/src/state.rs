@@ -221,7 +221,7 @@ impl ServerState {
             .field("label", job.label().as_str())
             .field("static_insns", r.static_insns)
             .field("static_cond_branches", r.static_cond_branches)
-            .field("stats", r.stats.metrics().to_json())
+            .field("stats", r.stats.metrics_json())
             .to_string()
     }
 
@@ -259,15 +259,10 @@ impl ServerState {
                 .field("sample", spec.canon().as_str())
                 .field("static_insns", s.aggregate.static_insns)
                 .field("static_cond_branches", s.aggregate.static_cond_branches)
-                .field("stats", s.aggregate.stats.metrics().to_json());
+                .field("stats", s.aggregate.stats.metrics_json());
             data = data.field(
                 "windows",
-                Json::Arr(
-                    s.samples
-                        .iter()
-                        .map(|w| w.stats.metrics().to_json())
-                        .collect(),
-                ),
+                Json::Arr(s.samples.iter().map(|w| w.stats.metrics_json()).collect()),
             );
             (data.to_string(), s.aggregate.from_cache)
         })

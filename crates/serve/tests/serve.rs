@@ -442,6 +442,71 @@ fn report_captures_each_stream_once() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The served `report` and `fig6a` answers write each run's metric
+/// block straight from `SimStats`'s metric table. They must equal the
+/// plan results' renderings byte for byte, and every embedded block must
+/// equal the registry tree rendering of its run.
+#[test]
+fn served_grid_answers_equal_the_tree_renderings() {
+    let dir = temp_dir("tree-parity");
+    let state = ServerState::new(&ServeOptions {
+        runner: RunnerOptions {
+            jobs: 2,
+            cache_dir: Some(dir.clone()),
+            ..RunnerOptions::default()
+        },
+        ..ServeOptions::default()
+    });
+    let req = GridRequest {
+        commits: 3_000,
+        profile_steps: 20_000,
+        only: vec!["gzip".to_string(), "twolf".to_string()],
+        sample: None,
+    };
+    let cfg = req.config();
+    let (report, _) = state.run_report(&req, |_, _| {}).expect("report renders");
+    let (fig6a, _) = state.run_fig6a(&req, |_, _| {}).expect("fig6a renders");
+
+    let results = experiments::full_results(&state.runner, &cfg);
+    assert_eq!(
+        results.simulated(),
+        0,
+        "the reference reads the served cells"
+    );
+    let expected = Json::obj()
+        .field("text", results.report_text(&cfg).as_str())
+        .field("json", results.report_json(&cfg))
+        .to_string();
+    assert_eq!(report, expected, "served report != plan results rendering");
+    assert_eq!(fig6a, results.fig6a(&cfg).to_json().to_string());
+
+    let served = Json::parse(&report).expect("the report parses");
+    assert_eq!(
+        served.get_path("json.fig6a").map(Json::to_string),
+        Some(fig6a),
+        "the served fig6a is the report's"
+    );
+    let mut blocks = 0;
+    for (figure, comparison) in [
+        ("fig5", results.fig5(&cfg, false)),
+        ("fig6a", results.fig6a(&cfg)),
+    ] {
+        for (i, row) in comparison.rows.iter().enumerate() {
+            for (j, run) in row.runs.iter().enumerate() {
+                let path = format!("json.{figure}.rows.{i}.metrics.{j}");
+                assert_eq!(
+                    served.get_path(&path).map(Json::to_string),
+                    Some(run.metrics().to_json().to_string()),
+                    "{path}"
+                );
+                blocks += 1;
+            }
+        }
+    }
+    assert_eq!(blocks, 2 * (2 + 6), "two programs, Figure 5 and 6a columns");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A grid op answered entirely from the cache says so: the first
 /// `fig6a` and `report` simulate and answer `"warm":false` (the report
 /// has cells Figure 6a lacks), their repeats answer `"warm":true` with

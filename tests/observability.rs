@@ -74,6 +74,11 @@ fn metric_block_round_trips_through_json() {
     let text = doc.to_string();
     let parsed = Json::parse(&text).expect("metric JSON parses");
     assert_eq!(parsed, doc, "metric block round trip is lossless");
+    assert_eq!(
+        r.stats.metrics_json().to_string(),
+        text,
+        "the block written straight from the metric table"
+    );
 
     let counters = parsed.get("counters").expect("counters object");
     assert!(counters.get("cycles").and_then(Json::as_i64).unwrap() > 0);

@@ -129,7 +129,9 @@ fn json_report_round_trips_and_carries_metrics() {
     let doc = experiments::full_report_json(&r, &cfg);
     let text = doc.to_string();
     let parsed = Json::parse(&text).expect("emitted JSON parses");
-    assert_eq!(parsed, doc, "round trip is lossless");
+    // The metric blocks are embedded as written text, which parsing
+    // turns into trees: the round trip compares rendered bytes.
+    assert_eq!(parsed.to_string(), text, "round trip is lossless");
 
     for figure in ["fig5", "fig6a", "fig6b", "ipc_ablation"] {
         assert!(parsed.get(figure).is_some(), "missing {figure}");
