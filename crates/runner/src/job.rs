@@ -258,13 +258,20 @@ impl Job {
         hex64(self.hash())
     }
 
-    /// A short human-readable label for telemetry and progress output.
+    /// A short human-readable label for telemetry and progress output:
+    /// benchmark and scheme, then the compile, predication, shadow and
+    /// window axes where they differ from a plain run. The cells of one
+    /// grid carry distinct labels.
     pub fn label(&self) -> String {
         format!(
-            "{}/{}{}{}{}",
+            "{}/{}{}{}{}{}",
             self.benchmark,
             self.scheme.name(),
             if self.ifconv { "/ifconv" } else { "" },
+            match self.predication {
+                PredicationModel::Cmov => "",
+                PredicationModel::Selective => "/selective",
+            },
             if self.shadow { "/shadow" } else { "" },
             self.sample
                 .as_ref()
@@ -498,6 +505,11 @@ mod tests {
             ..base()
         };
         assert_eq!(j.label(), "gzip/predicate/ifconv/shadow");
+        let selective = Job {
+            predication: PredicationModel::Selective,
+            ..j.clone()
+        };
+        assert_eq!(selective.label(), "gzip/predicate/ifconv/selective/shadow");
         let sampled = Job {
             sample: Some(SampleSlice {
                 spec: SampleSpec::default_spec(),

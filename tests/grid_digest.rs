@@ -70,8 +70,6 @@ fn full_report_grid_matches_the_digest_golden() {
         fs::write(&out, &actual).expect("write the actual digest");
         let golden: HashSet<&str> = GOLDEN.lines().collect();
         let now: HashSet<&str> = actual.lines().collect();
-        // Labels repeat across predication models, so a cell is named
-        // by its hash and label together.
         let mut differing: Vec<&str> = now
             .symmetric_difference(&golden)
             .map(|l| l.rsplit_once(' ').map_or(*l, |(cell, _)| cell))
@@ -88,4 +86,19 @@ fn full_report_grid_matches_the_digest_golden() {
             out.display()
         );
     }
+}
+
+#[test]
+fn full_report_labels_are_unique() {
+    let cfg = ExperimentConfig {
+        commits: 20_000,
+        ..ExperimentConfig::default()
+    };
+    let jobs = experiments::plan(&cfg, PlanSpec::FullReport);
+    let labels: HashSet<String> = jobs.iter().map(|j| j.label()).collect();
+    assert_eq!(
+        labels.len(),
+        jobs.len(),
+        "progress and telemetry lines must name each cell unambiguously"
+    );
 }
