@@ -10,11 +10,12 @@
 //!   artifact draws from one canonical namespace instead of ad-hoc field
 //!   dumps. `SimStats` exports onto it from the one static table that
 //!   lists its metric block (`SimStats::METRICS` in `ppsim-pipeline`).
-//! * [`write_metric_block`] — writes a metric block's JSON text, byte for
-//!   byte what [`MetricSet::to_json`] renders, with no registry or tree
-//!   in between. The same table drives it, and artifacts and served
-//!   answers embed the text verbatim as a [`Json::Raw`] node: a warm
-//!   served report holds one block per run of Figures 5 and 6a.
+//! * [`write_metric_block`] — the one rendering of a metric block as JSON
+//!   text. [`MetricSet::to_json`] renders through it, and `SimStats`
+//!   writes its block through it straight from its table, with no
+//!   registry or tree in between; artifacts and served answers embed
+//!   the text verbatim as a [`Json::Raw`] node (a warm served report
+//!   holds one block per run of Figures 5 and 6a).
 //! * [`StallBucket`] / [`StallBreakdown`] — per-stage stall attribution.
 //!   The pipeline charges every simulated cycle to exactly one bucket, so
 //!   `cycles == Σ buckets` holds by construction and IPC regressions can

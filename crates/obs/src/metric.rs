@@ -16,7 +16,7 @@
 //! duplicate names panic (a registry discipline bug, not a runtime
 //! condition). Export order is therefore deterministic byte-for-byte.
 
-use crate::json::{write_f64, write_u64, Json};
+use crate::json::{write_f64, write_str, write_u64, Json};
 
 /// The value of one registered metric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,22 +106,6 @@ impl PcHistogram {
             .binary_search_by_key(&pc, |e| e.pc)
             .ok()
             .map(|i| &self.entries[i])
-    }
-
-    /// Renders as a JSON array of `[pc, execs, events]` triples.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(
-            self.entries
-                .iter()
-                .map(|e| {
-                    Json::Arr(vec![
-                        Json::from(e.pc),
-                        Json::from(e.execs),
-                        Json::from(e.events),
-                    ])
-                })
-                .collect(),
-        )
     }
 }
 
@@ -222,47 +206,32 @@ impl MetricSet {
     /// ```
     ///
     /// Keys appear in sorted name order, making the rendering
-    /// byte-deterministic for equal registries.
+    /// byte-deterministic for equal registries. The text is
+    /// [`write_metric_block`]'s, held in a [`Json::Raw`] node.
     pub fn to_json(&self) -> Json {
-        let mut counters = Json::obj();
-        let mut ratios = Json::obj();
-        for (name, value) in &self.scalars {
-            match *value {
-                MetricValue::Counter(c) => {
-                    counters = counters.field(name, c);
-                }
-                MetricValue::Ratio { num, den } => {
-                    ratios = ratios.field(
-                        name,
-                        Json::obj()
-                            .field("num", num)
-                            .field("den", den)
-                            .field("value", Json::Num(value.value())),
-                    );
-                }
-            }
-        }
-        let mut per_pc = Json::obj();
-        for (name, hist) in &self.histograms {
-            per_pc = per_pc.field(name, hist.to_json());
-        }
-        Json::obj()
-            .field("counters", counters)
-            .field("ratios", ratios)
-            .field("per_pc", per_pc)
+        let mut out = String::new();
+        write_metric_block(
+            &mut out,
+            self.scalars
+                .iter()
+                .map(|(name, value)| (name.as_str(), *value)),
+            self.iter_histograms()
+                .map(|(name, hist)| (name, hist.entries().iter().copied())),
+        );
+        Json::Raw(out)
     }
 }
 
-/// Writes one metric block as JSON text: byte for byte what
-/// [`MetricSet::to_json`] renders for the same metrics, with no registry
-/// and no tree in between. A table-driven exporter (`SimStats`'s metric
-/// table) writes its block straight into an answer buffer through here.
+/// Writes one metric block as JSON text, in the shape
+/// [`MetricSet::to_json`] documents: the one rendering of a block.
+/// [`MetricSet::to_json`] renders through it, and a table-driven
+/// exporter (`SimStats`'s metric table) writes its block straight into
+/// an answer buffer through it, with no registry in between.
 ///
 /// `scalars` yields every counter and ratio in sorted name order; the
 /// writer walks it twice, counters first. `histograms` yields each
 /// per-PC histogram in sorted name order, with its rows sorted by PC and
-/// no PC repeated. Names are written as they are, so they must need no
-/// JSON escaping.
+/// no PC repeated.
 pub fn write_metric_block<'a, S, R>(
     out: &mut String,
     scalars: S,
@@ -276,9 +245,8 @@ pub fn write_metric_block<'a, S, R>(
             out.push(',');
         }
         *first = false;
-        out.push('"');
-        out.push_str(name);
-        out.push_str("\":");
+        write_str(out, name);
+        out.push(':');
     }
     out.push_str("{\"counters\":{");
     let mut first = true;
@@ -379,35 +347,42 @@ mod tests {
     }
 
     #[test]
-    fn block_writer_matches_the_registry_rendering() {
-        let rows = |n: u64| {
-            (0..n)
-                .map(|i| PcEntry {
-                    pc: i * 4,
-                    execs: i * i + 1,
-                    events: i % 3,
-                })
-                .collect::<Vec<_>>()
-        };
-        let mut full = MetricSet::new();
-        full.counter("b.count", 2);
-        full.ratio("a.rate", 1, 3);
-        full.counter("a.count", u64::MAX);
-        full.ratio("z.rate", 5, 0);
-        full.histogram("sites", PcHistogram::from_rows(rows(3)));
-        full.histogram("empty", PcHistogram::default());
-        let mut ratios_only = MetricSet::new();
-        ratios_only.ratio("r", 0, 0);
-        for m in [full, ratios_only, MetricSet::new()] {
-            let mut out = String::new();
-            write_metric_block(
-                &mut out,
-                m.scalars.iter().map(|(n, v)| (n.as_str(), *v)),
-                m.iter_histograms()
-                    .map(|(n, h)| (n, h.entries().iter().copied())),
-            );
-            assert_eq!(out, m.to_json().to_string());
-        }
+    fn blocks_render_counters_ratios_and_histograms_in_name_order() {
+        let mut m = MetricSet::new();
+        m.counter("b.count", 2);
+        m.ratio("a.rate", 1, 4);
+        m.counter("a.count", 7);
+        m.ratio("z.rate", 5, 0);
+        m.histogram(
+            "sites",
+            PcHistogram::from_rows(vec![
+                PcEntry {
+                    pc: 8,
+                    execs: 3,
+                    events: 1,
+                },
+                PcEntry {
+                    pc: 4,
+                    execs: 9,
+                    events: 0,
+                },
+            ]),
+        );
+        m.histogram("empty", PcHistogram::default());
+        m.counter("needs \"escaping\"", 1);
+        assert_eq!(
+            m.to_json().to_string(),
+            concat!(
+                r#"{"counters":{"a.count":7,"b.count":2,"needs \"escaping\"":1},"#,
+                r#""ratios":{"a.rate":{"num":1,"den":4,"value":0.25},"#,
+                r#""z.rate":{"num":5,"den":0,"value":0.0}},"#,
+                r#""per_pc":{"empty":[],"sites":[[4,9,0],[8,3,1]]}}"#
+            )
+        );
+        assert_eq!(
+            MetricSet::new().to_json().to_string(),
+            r#"{"counters":{},"ratios":{},"per_pc":{}}"#
+        );
     }
 
     #[test]
