@@ -9,10 +9,10 @@
 //! so tests can round-trip emitted artifacts and assert well-formedness
 //! without external tooling.
 //!
-//! Hot renderers can skip the tree: [`write_u64`], [`write_f64`] and
-//! [`write_str`] are the emitter's own number and string writers, and a
-//! [`Json::Raw`] node embeds text written with them verbatim (how every
-//! per-run metric block reaches a report).
+//! Hot renderers can skip the tree: the metric block writer uses the
+//! emitter's own number and string writers, and a [`Json::Raw`] node
+//! embeds the text it writes verbatim (how every per-run metric block
+//! reaches a report).
 
 use std::fmt::{self, Write as _};
 
@@ -216,7 +216,7 @@ impl From<Vec<Json>> for Json {
 
 /// Writes `v` as a JSON integer, saturating at `i64::MAX` exactly as
 /// `Json::from(v)` renders.
-pub fn write_u64(out: &mut String, v: u64) {
+pub(crate) fn write_u64(out: &mut String, v: u64) {
     write_i64(out, i64::try_from(v).unwrap_or(i64::MAX));
 }
 
@@ -242,7 +242,7 @@ fn write_i64(out: &mut String, v: i64) {
 
 /// Writes `v` as a JSON number, as [`Json::Num`] renders: non-finite
 /// values emit `null`.
-pub fn write_f64(out: &mut String, v: f64) {
+pub(crate) fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         // `{:?}` is the shortest round-trippable rendering and always
         // keeps a fractional part (or exponent), so whole-number floats
@@ -256,7 +256,7 @@ pub fn write_f64(out: &mut String, v: f64) {
 /// Writes `s` as a JSON string literal. Runs of bytes that need no
 /// escape are copied in one call each; every escaped byte is ASCII, so
 /// the run boundaries always fall on `char` boundaries.
-pub fn write_str(out: &mut String, s: &str) {
+pub(crate) fn write_str(out: &mut String, s: &str) {
     out.push('"');
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {

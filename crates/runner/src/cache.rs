@@ -193,7 +193,7 @@ impl DiskCache {
     /// [`DiskCache::load`] of the job whose [`Job::canon`] is `canon`,
     /// for a caller that already holds it. The one canon names the file
     /// and checks the stored echo.
-    pub fn load_canon(&self, canon: &str) -> Option<JobResult> {
+    pub(crate) fn load_canon(&self, canon: &str) -> Option<JobResult> {
         let path = self.entry_path(canon);
         let text = fs::read_to_string(&path).ok()?;
         let result = parse_entry(&text, canon)?;
@@ -213,7 +213,7 @@ impl DiskCache {
     }
 
     /// [`DiskCache::store`] for the job whose [`Job::canon`] is `canon`.
-    pub fn store_canon(&self, canon: &str, result: &JobResult) -> std::io::Result<()> {
+    pub(crate) fn store_canon(&self, canon: &str, result: &JobResult) -> std::io::Result<()> {
         let path = self.entry_path(canon);
         let tmp = path.with_extension("tmp");
         {

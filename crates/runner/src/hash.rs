@@ -27,7 +27,7 @@ pub fn hex64(h: u64) -> String {
 
 /// Whether `text` is [`hex64`]`(h)`, checked digit by digit without
 /// building the string.
-pub fn is_hex64(text: &str, h: u64) -> bool {
+pub(crate) fn is_hex64(text: &str, h: u64) -> bool {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
     text.len() == 16
         && text
