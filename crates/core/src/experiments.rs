@@ -581,21 +581,10 @@ impl PlanResults {
     }
 
     fn cell(&self, job: &Job) -> &PlanCell {
-        let mine = self
+        let found = self
             .by_bench
             .get(&job.benchmark)
-            .map_or(&[][..], Vec::as_slice);
-        let found = match job.ifconv_threshold {
-            // Without a float among its inputs, a job equals another
-            // exactly when their canonical keys do.
-            None => mine.iter().find(|&&i| self.jobs[i] == *job),
-            // `==` on a threshold would conflate 0.0 with -0.0 and miss
-            // NaN, both of which the key tells apart by bits.
-            Some(_) => {
-                let canon = job.canon();
-                mine.iter().find(|&&i| self.jobs[i].canon() == canon)
-            }
-        };
+            .and_then(|mine| mine.iter().find(|&&i| self.jobs[i] == *job));
         match found {
             Some(&i) => &self.cells[i],
             None => panic!("plan results missing cell {}", job.canon()),
