@@ -12,10 +12,10 @@
 //!   lists its metric block (`SimStats::METRICS` in `ppsim-pipeline`).
 //! * [`write_metric_block`] — the one rendering of a metric block as JSON
 //!   text. [`MetricSet::to_json`] renders through it, and `SimStats`
-//!   writes its block through it straight from its table, with no
-//!   registry or tree in between; artifacts and served answers embed
-//!   the text verbatim as a [`Json::Raw`] node (a warm served report
-//!   holds one block per run of Figures 5 and 6a).
+//!   writes its block through it straight from its table into a buffer
+//!   of its own, with no registry or tree in between; artifacts and
+//!   served answers embed that text verbatim as a [`Json::Raw`] node (a
+//!   warm served report holds one block per run of Figures 5 and 6a).
 //! * [`StallBucket`] / [`StallBreakdown`] — per-stage stall attribution.
 //!   The pipeline charges every simulated cycle to exactly one bucket, so
 //!   `cycles == Σ buckets` holds by construction and IPC regressions can

@@ -225,8 +225,8 @@ impl MetricSet {
 /// Writes one metric block as JSON text, in the shape
 /// [`MetricSet::to_json`] documents: the one rendering of a block.
 /// [`MetricSet::to_json`] renders through it, and a table-driven
-/// exporter (`SimStats`'s metric table) writes its block straight into
-/// an answer buffer through it, with no registry in between.
+/// exporter (`SimStats`'s metric table) writes its block through it
+/// into a buffer of its own, with no registry in between.
 ///
 /// `scalars` yields every counter and ratio in sorted name order; the
 /// writer walks it twice, counters first. `histograms` yields each

@@ -20,10 +20,11 @@
 //! `branch_sites` histogram — is listed once, in the static table
 //! [`SimStats::METRICS`], sorted by name as the `ppsim-obs` registry
 //! exports it. [`SimStats::metrics`] builds the registry from the table,
-//! [`SimStats::write_metrics_json`] writes the block's JSON text straight
-//! into an answer buffer, [`SimStats::merge`] sums through it, and the
-//! runner's result cache stores and parses every counter through each
-//! entry's [`CounterField`].
+//! [`SimStats::metrics_json`] writes the block's JSON text from it into a
+//! buffer of its own (a raw node that answers and artifacts embed),
+//! [`SimStats::merge`] sums through it, and the runner's result cache
+//! stores and parses every counter through each entry's
+//! [`CounterField`].
 //!
 //! # Example
 //!

@@ -5,11 +5,11 @@
 //! exports. Each entry says how to read its value off a [`SimStats`]
 //! (and, for a counter, how to write it back), so everything that walks
 //! the metrics walks this table: [`SimStats::metrics`] builds the
-//! registry from it, [`SimStats::write_metrics_json`] writes the block's
-//! JSON text straight into an answer buffer with no registry or JSON
-//! tree in between, [`SimStats::merge`] sums every counter through it,
-//! and the runner's result cache stores and parses every counter
-//! through it. A new counter is one entry here.
+//! registry from it, [`SimStats::metrics_json`] writes the block's JSON
+//! text from it into a buffer of its own, with no registry or JSON tree
+//! in between, [`SimStats::merge`] sums every counter through it, and
+//! the runner's result cache stores and parses every counter through
+//! it. A new counter is one entry here.
 
 use ppsim_mem::{CacheStats, HierarchyStats};
 use ppsim_obs::{
@@ -74,7 +74,7 @@ pub struct SimStats {
     /// bucket, so `stall.total() == cycles` holds by construction.
     pub stall: StallBreakdown,
     /// Per-static-branch rows `(slot, executions, mispredictions)`, sorted
-    /// by slot for deterministic export.
+    /// by slot, no slot repeated, for deterministic export.
     pub branch_pcs: Vec<(u32, u64, u64)>,
     /// Memory-hierarchy counters.
     pub mem: HierarchyStats,
@@ -334,36 +334,23 @@ impl SimStats {
         m
     }
 
-    /// Writes the metric block's JSON text onto `out`: byte for byte
-    /// `self.metrics().to_json().to_string()`, straight from
-    /// [`SimStats::METRICS`], with no registry or JSON tree in between.
-    pub fn write_metrics_json(&self, out: &mut String) {
-        let scalars = Self::METRICS
-            .iter()
-            .map(|&(name, metric)| (name, metric.value(self)));
-        // Runs keep their rows sorted by slot; rows read back from a
-        // hand-edited cache entry might not be, and the registry would
-        // sort and merge those.
-        if self.branch_pcs.windows(2).all(|w| w[0].0 < w[1].0) {
-            write_metric_block(out, scalars, [("branch_sites", self.branch_rows())]);
-        } else {
-            let sites = PcHistogram::from_rows(self.branch_rows().collect());
-            write_metric_block(
-                out,
-                scalars,
-                [("branch_sites", sites.entries().iter().copied())],
-            );
-        }
-    }
-
-    /// The metric block as a JSON node holding
-    /// [`SimStats::write_metrics_json`]'s text, for embedding in an
-    /// artifact: it renders exactly as `self.metrics().to_json()`.
+    /// The metric block as a JSON node that renders byte for byte as
+    /// `self.metrics().to_json()`: its text is written straight from
+    /// [`SimStats::METRICS`] into a buffer of its own, with no registry
+    /// or JSON tree in between, and held as a [`Json::Raw`] node for an
+    /// artifact or answer to embed.
     pub fn metrics_json(&self) -> Json {
+        debug_assert!(
+            self.branch_pcs.windows(2).all(|w| w[0].0 < w[1].0),
+            "branch rows are sorted by slot, no slot repeated"
+        );
         // Counters and ratios take about 1.9 KB, a branch row under 24
         // bytes.
         let mut out = String::with_capacity(2048 + 24 * self.branch_pcs.len());
-        self.write_metrics_json(&mut out);
+        let scalars = Self::METRICS
+            .iter()
+            .map(|&(name, metric)| (name, metric.value(self)));
+        write_metric_block(&mut out, scalars, [("branch_sites", self.branch_rows())]);
         Json::Raw(out)
     }
 
@@ -479,18 +466,7 @@ mod tests {
                 slot += 1 + (rng.next() % 9) as u32;
                 s.branch_pcs.push((slot, rng.counter(), rng.counter()));
             }
-            if case % 7 == 3 && s.branch_pcs.len() > 2 {
-                // Rows out of order, one slot twice: the registry sorts
-                // and merges them, and so must the writer. (The repeat
-                // adds zeros, so the merge cannot overflow.)
-                s.branch_pcs.swap(0, 1);
-                let dup = s.branch_pcs[2];
-                s.branch_pcs.push((dup.0, 0, 0));
-            }
             let tree = s.metrics().to_json().to_string();
-            let mut direct = String::new();
-            s.write_metrics_json(&mut direct);
-            assert_eq!(direct, tree, "case {case}");
             assert_eq!(s.metrics_json().to_string(), tree, "case {case}");
         }
     }

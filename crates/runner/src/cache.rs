@@ -32,7 +32,8 @@
 //! the `end` sentinel (so a truncated write from a killed process reads
 //! as a miss). A load reads the lines in the order a store writes them,
 //! allocating nothing per line; an entry whose lines stray from that
-//! order reads as a miss. Stores write to a `.tmp` sibling and rename
+//! order — `pc.` rows out of slot order or repeating a slot included —
+//! reads as a miss. Stores write to a `.tmp` sibling and rename
 //! into place, which is atomic on POSIX — concurrent runs never observe
 //! half-written entries.
 
@@ -328,8 +329,9 @@ fn render_entry(canon: &str, result: &JobResult) -> String {
     for (key, field) in stat_lines() {
         let _ = writeln!(s, "stat.{key}={}", (field.get)(stats));
     }
-    // branch_pcs is sorted by slot in SimStats, so this section — like
-    // everything else in the entry — renders deterministically.
+    // branch_pcs is sorted by slot in SimStats, no slot repeated, so this
+    // section — like everything else in the entry — renders
+    // deterministically, and a load can insist on that order.
     for &(slot, execs, events) in &stats.branch_pcs {
         let _ = writeln!(s, "pc.{slot}={execs},{events}");
     }
@@ -389,11 +391,15 @@ fn parse_entry(text: &str, canon: &str) -> Option<JobResult> {
     while let Some(row) = line.strip_prefix("pc.") {
         let (slot, counts) = row.split_once('=')?;
         let (execs, events) = counts.split_once(',')?;
-        stats.branch_pcs.push((
-            slot.parse().ok()?,
-            execs.parse().ok()?,
-            events.parse().ok()?,
-        ));
+        let slot: u32 = slot.parse().ok()?;
+        // Rows are stored in increasing slot order; any other order, or a
+        // repeated slot, is not an entry a store wrote.
+        if matches!(stats.branch_pcs.last(), Some(&(prev, ..)) if prev >= slot) {
+            return None;
+        }
+        stats
+            .branch_pcs
+            .push((slot, execs.parse().ok()?, events.parse().ok()?));
         line = lines.next()?;
     }
     let static_insns = value_of(line, "static.insns")?;
@@ -596,6 +602,30 @@ mod tests {
         let path = cache.dir().join(format!("{}.result", j.hash_hex()));
         fs::write(&path, resum(&swapped)).unwrap();
         assert!(cache.load(&j).is_none());
+        fs::write(&path, &stored).unwrap();
+        assert!(cache.load(&j).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn branch_rows_out_of_slot_order_miss() {
+        // The rows of a resealed entry out of slot order, or repeating a
+        // slot, read as a miss: a hit's rows are sorted, no slot twice.
+        let dir = temp_dir("pcorder");
+        let cache = DiskCache::open(&dir).unwrap();
+        let j = job();
+        let stored = render_entry(&j.canon(), &result());
+        let rows = "pc.7=501,502\npc.19=503,0\n";
+        assert!(stored.contains(rows), "{stored}");
+        let path = cache.dir().join(format!("{}.result", j.hash_hex()));
+        for edited in [
+            "pc.19=503,0\npc.7=501,502\n",
+            "pc.7=501,502\npc.7=503,0\n",
+            "pc.7=501,502\npc.19=503,0\npc.19=1,1\n",
+        ] {
+            fs::write(&path, resum(&stored.replacen(rows, edited, 1))).unwrap();
+            assert!(cache.load(&j).is_none(), "rows {edited:?} still hit");
+        }
         fs::write(&path, &stored).unwrap();
         assert!(cache.load(&j).is_some());
         let _ = fs::remove_dir_all(&dir);
