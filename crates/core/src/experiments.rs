@@ -8,7 +8,7 @@
 //! so reports are byte-identical regardless of worker count or cache
 //! state.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use ppsim_compiler::{WorkloadClass, WorkloadSpec};
 use ppsim_pipeline::{PredicationModel, SchemeSpec, SimStats};
@@ -484,8 +484,10 @@ struct PlanCell {
 /// Collected **once** per plan and shared by every figure that reads
 /// from it — figures that overlap (the full report's grids share
 /// cells) assemble from the same simulation instead of re-running it.
-/// Each cell's canonical key is derived once, at collection; lookups
-/// find a cell among its program's cells by job equality instead.
+/// Cells are told apart by job equality: collection deduplicates, and
+/// lookups find, a cell among its program's cells, so no canonical key
+/// is derived here (the runner derives each cell's once, for its cache
+/// entry).
 #[derive(Clone, Debug, Default)]
 pub struct PlanResults {
     /// The unique cells, in collection order.
@@ -498,7 +500,7 @@ pub struct PlanResults {
 }
 
 impl PlanResults {
-    /// Executes `jobs` through `runner` — deduplicated by canonical key,
+    /// Executes `jobs` through `runner` — deduplicated by job equality,
     /// sampled or full per `cfg.sample` — and indexes the outcomes.
     pub fn collect(runner: &Runner, cfg: &ExperimentConfig, jobs: &[Job]) -> PlanResults {
         PlanResults::collect_reporting(runner, cfg, jobs, &|_, _| {})
@@ -515,16 +517,14 @@ impl PlanResults {
         jobs: &[Job],
         progress: &(dyn Fn(u64, u64) + Sync),
     ) -> PlanResults {
-        // One canon per cell: the dedup key here, the cache key in the
-        // runner.
-        let mut seen = HashSet::with_capacity(jobs.len());
+        // Deduplicate with the scan `cell` looks cells up by.
         let mut unique: Vec<Job> = Vec::new();
-        let mut canons: Vec<String> = Vec::new();
+        let mut by_bench: HashMap<String, Vec<usize>> = HashMap::new();
         for j in jobs {
-            let canon = j.canon();
-            if seen.insert(canon.clone()) {
+            let mine = by_bench.entry(j.benchmark.clone()).or_default();
+            if !mine.iter().any(|&i| unique[i] == *j) {
+                mine.push(unique.len());
                 unique.push(j.clone());
-                canons.push(canon);
             }
         }
         let mut simulated = 0;
@@ -541,7 +541,7 @@ impl PlanResults {
                 })
                 .collect(),
             None => runner
-                .run_grid_keyed(&unique, &canons, progress)
+                .run_grid_reporting(&unique, progress)
                 .into_iter()
                 .map(|r| {
                     simulated += usize::from(!r.from_cache);
@@ -552,10 +552,6 @@ impl PlanResults {
                 })
                 .collect(),
         };
-        let mut by_bench: HashMap<String, Vec<usize>> = HashMap::new();
-        for (i, j) in unique.iter().enumerate() {
-            by_bench.entry(j.benchmark.clone()).or_default().push(i);
-        }
         PlanResults {
             jobs: unique,
             by_bench,

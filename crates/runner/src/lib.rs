@@ -575,24 +575,9 @@ impl Runner {
         jobs: &[Job],
         progress: &(dyn Fn(u64, u64) + Sync),
     ) -> Vec<JobResult> {
+        // Each cell's canonical key, derived once for its load and its
+        // store.
         let canons: Vec<String> = jobs.iter().map(Job::canon).collect();
-        self.run_grid_keyed(jobs, &canons, progress)
-    }
-
-    /// [`Runner::run_grid_reporting`] for a caller that already holds
-    /// each cell's canonical key (`canons[i]` is `jobs[i].canon()`): the
-    /// cache loads and stores use them instead of deriving them again.
-    pub fn run_grid_keyed(
-        &self,
-        jobs: &[Job],
-        canons: &[String],
-        progress: &(dyn Fn(u64, u64) + Sync),
-    ) -> Vec<JobResult> {
-        assert_eq!(jobs.len(), canons.len(), "one canonical key per job");
-        debug_assert!(
-            jobs.iter().zip(canons).all(|(j, c)| j.canon() == *c),
-            "each canon is its job's"
-        );
         // 1. Serial cache probe.
         let mut slots: Vec<Option<JobResult>> = match &self.cache {
             Some(cache) => canons.iter().map(|c| cache.load_canon(c)).collect(),
