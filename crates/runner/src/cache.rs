@@ -47,7 +47,7 @@ use std::time::SystemTime;
 
 use ppsim_pipeline::{CounterField, SimStats, StatMetric};
 
-use crate::hash::{fnv1a64, hex64, is_hex64};
+use crate::hash::{fnv1a64, hex64};
 use crate::job::{Job, JobResult};
 
 /// Magic first line; bump the version to invalidate every entry.
@@ -359,7 +359,7 @@ fn checked_body(text: &str) -> Option<&str> {
         .strip_suffix('\n')?
         .strip_suffix(FOOTER)?
         .strip_suffix('\n')?;
-    is_hex64(sum, fnv1a64(body.as_bytes())).then_some(body)
+    (sum == hex64(fnv1a64(body.as_bytes()))).then_some(body)
 }
 
 /// The value of a `<key>=<u64>` line.

@@ -25,17 +25,6 @@ pub fn hex64(h: u64) -> String {
     format!("{h:016x}")
 }
 
-/// Whether `text` is [`hex64`]`(h)`, checked digit by digit without
-/// building the string.
-pub(crate) fn is_hex64(text: &str, h: u64) -> bool {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    text.len() == 16
-        && text
-            .bytes()
-            .enumerate()
-            .all(|(i, b)| b == DIGITS[(h >> (60 - 4 * i)) as usize & 0xf])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,19 +47,5 @@ mod tests {
     fn hex_is_fixed_width() {
         assert_eq!(hex64(0xab).len(), 16);
         assert_eq!(hex64(0xab), "00000000000000ab");
-    }
-
-    #[test]
-    fn hex_check_accepts_exactly_the_rendering() {
-        for h in [0, 0xab, 0x0123_4567_89ab_cdef, u64::MAX, fnv1a64(b"foobar")] {
-            assert!(is_hex64(&hex64(h), h), "{h:x}");
-            assert!(!is_hex64(&hex64(h ^ 1), h), "{h:x}");
-        }
-        assert!(
-            !is_hex64("00000000000000AB", 0xab),
-            "upper case is not the rendering"
-        );
-        assert!(!is_hex64("ab", 0xab), "nor is an unpadded one");
-        assert!(!is_hex64("+0000000000000ab", 0xab));
     }
 }
